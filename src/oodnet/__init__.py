@@ -8,7 +8,7 @@ from .data import (LabeledDataset, MiniBatch, load_idx_dataset, make_batches,
 from .detector import ClassStats, DetectorModel, detect, fit_stats
 from .evalkit import RocCurve, confusion, f1, pca2, roc
 from .head import OodHead, bce, classify_ood, head_forward, train_head
-from .nn import (Backbone, TrainConfig, extract_features, grad_check,
+from .nn import (Backbone, TrainConfig, embed, extract_features, grad_check,
                  softmax_xent, train, train_epoch)
 
 __version__ = "0.1.0"

@@ -11,15 +11,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import data as datamod
 from .archive import ModelState, load_model, save_model
 from .errors import ConfigError, OodnetError
 from .evalkit import write_metrics_csv
 from .experiment import (RunConfig, _load_source, evaluate, run_calibration,
                          run_experiment, run_stage_one, run_stage_two)
-from .nn import extract_features
+from .nn import embed, extract_features
 
 
 def _load_config(path, args) -> RunConfig:
@@ -125,17 +123,16 @@ def cmd_score(args):
     images = datamod.normalize(datamod.load_idx_file(args.image_file))
     if images.ndim == 2:
         images = images[None]
-    feats = extract_features(state.backbone, images)
-    preds = np.concatenate([
-        state.backbone.forward(images[i:i + 1024])[1].argmax(axis=1)
-        for i in range(0, len(images), 1024)])
+    feats, logits = embed(state.backbone, images)
+    preds = logits.argmax(axis=1)
     normal = state.detector.is_normal_many(feats)
     scores = state.detector.anomaly_score_many(feats)
+    head_p = state.head.forward_many(feats) if state.head is not None else None
     for i, (cls, ok, s) in enumerate(zip(preds, normal, scores)):
         verdict = "normal" if ok else "ood"
         line = f"{i}: class={cls} verdict={verdict} min_distance={s:.4f}"
-        if state.head is not None:
-            p = state.head.forward_many(feats[i:i + 1])[0]
+        if head_p is not None:
+            p = head_p[i]
             hv = "normal" if p >= state.head.tau else "ood"
             line += f" head_p={p:.4f} head_verdict={hv}"
         print(line)

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .evalkit import (confusion, f1, pca2, roc, write_metrics_csv,
                       write_projection_csv, write_roc_csv)
 from .head import HeadTrainConfig, OodHead, train_head
-from .nn import Backbone, TrainConfig, extract_features, train
+from .nn import Backbone, TrainConfig, embed, extract_features, train
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -190,11 +190,8 @@ def evaluate(state: ModelState, main_test, anomaly_test, lam: float,
              seed: int) -> CellResult:
     model = state.backbone
     n = model.n_classes
-    feats_in = extract_features(model, main_test.images)
-    preds = np.concatenate([
-        model.forward(main_test.images[i:i + 1024])[1].argmax(axis=1)
-        for i in range(0, len(main_test), 1024)])
-    cls_f1 = f1(confusion(main_test.labels, preds, n), "macro")
+    feats_in, logits = embed(model, main_test.images)
+    cls_f1 = f1(confusion(main_test.labels, logits.argmax(axis=1), n), "macro")
 
     feats_out = extract_features(model, anomaly_test.images)
     feats_all = np.concatenate([feats_in, feats_out])

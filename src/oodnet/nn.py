@@ -5,12 +5,21 @@ finite-difference gradient checker.
 All arrays are plain numpy; float32 by default, float64 in verification
 mode. The deep feature is the post-ReLU output of the last hidden dense
 layer (84 units by default) feeding the linear classifier.
+
+Kernels: convolution is im2col plus one GEMM per block of ``BLOCK``
+samples; max pooling is ``np.maximum`` over four strided views; dense
+layers use a fixed-order ``einsum``. Inference gives the same bits at any
+batch size because every output row is computed from its own input row
+alone: a convolution output from its own patch row, a pooled value from
+its own window, a dense output from its own input vector, whatever the
+block or batch size around it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import ROLE_MAIN_TRAIN, LabeledDataset, MiniBatch, make_batches
 from .errors import LabelOutOfRange, NonFiniteLoss, ShapeMismatch
@@ -40,16 +49,44 @@ class TrainConfig:
 # layers
 
 
-class Conv2D:
-    """5x5 (by default) convolution, stride 1, optional zero padding."""
+# Samples per im2col block. One block's patch matrix is about 1 MB for
+# 28x28 inputs; a batch of 256 at once would need 20 MB, enough to show in
+# the peak memory of training and embedding.
+BLOCK = 16
 
-    def __init__(self, in_ch, out_ch, kernel, pad, rng, dtype):
+
+def _im2col(x, k):
+    """(b, C, H, W) -> patch rows (b*Ho*Wo, C*k*k), one row per output pixel,
+    in (sample, row, column) order."""
+    win = sliding_window_view(x, (k, k), axis=(2, 3))   # (b, C, Ho, Wo, k, k)
+    b, C, Ho, Wo = win.shape[:4]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b * Ho * Wo, C * k * k)
+
+
+class Conv2D:
+    """5x5 (by default) convolution, stride 1, optional zero padding.
+
+    im2col (Chellapilla, Puri & Simard, 2006): each output pixel's patch
+    is one row of a matrix, and one GEMM against the flattened kernels
+    computes a block of ``BLOCK`` samples. Every output value is the dot
+    product of its own patch row with one kernel, so it does not depend on
+    the block or batch size it was computed in. Backward rebuilds each
+    block's patches for dW rather than keeping them from the forward pass,
+    and computes dx as one GEMM followed by one strided add per kernel
+    offset (col2im).
+
+    With ``input_grad=False`` (a layer whose input is data) backward
+    computes only dW and db and returns None.
+    """
+
+    def __init__(self, in_ch, out_ch, kernel, pad, rng, dtype, input_grad=True):
         fan_in = in_ch * kernel * kernel
         self.W = (rng.standard_normal((out_ch, in_ch, kernel, kernel))
                   * np.sqrt(2.0 / fan_in)).astype(dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
         self.kernel = kernel
         self.pad = pad
+        self.input_grad = input_grad
         self._x = None
         self.dW = None
         self.db = None
@@ -67,37 +104,40 @@ class Conv2D:
         if p:
             x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         m, _, H, W = x.shape
+        O = self.W.shape[0]
         Ho, Wo = H - k + 1, W - k + 1
-        out = np.zeros((m, self.W.shape[0], Ho, Wo), dtype=x.dtype)
-        # accumulate one kernel offset at a time; cheap for 5x5 kernels.
-        # optimize=False keeps a fixed reduction order so per-sample
-        # results do not depend on batch size.
-        for u in range(k):
-            for v in range(k):
-                patch = x[:, :, u:u + Ho, v:v + Wo]
-                out += np.einsum("mchw,oc->mohw", patch, self.W[:, :, u, v],
-                                 optimize=False)
-        out += self.b[None, :, None, None]
+        w = self.W.reshape(O, -1).T
+        out = np.empty((m, O, Ho, Wo), dtype=x.dtype)
+        for s in range(0, m, BLOCK):
+            y = _im2col(x[s:s + BLOCK], k) @ w
+            y += self.b
+            out[s:s + BLOCK] = y.reshape(-1, Ho, Wo, O).transpose(0, 3, 1, 2)
         self._x = x
         return out
 
     def backward(self, grad):
         x = self._x
         k, p = self.kernel, self.pad
-        m, _, Ho, Wo = grad.shape
-        self.dW = np.zeros_like(self.W)
+        m, O, Ho, Wo = grad.shape
+        w = self.W.reshape(O, -1)
         self.db = grad.sum(axis=(0, 2, 3))
-        dx = np.zeros_like(x)
+        dW = np.zeros_like(w)
+        for s in range(0, m, BLOCK):
+            g = grad[s:s + BLOCK].transpose(0, 2, 3, 1).reshape(-1, O)
+            dW += g.T @ _im2col(x[s:s + BLOCK], k)
+        self.dW = dW.reshape(self.W.shape)
+        if not self.input_grad:
+            return None
+        # col2im in (C, H, W, m) layout, so that each of the k*k strided
+        # adds runs over contiguous rows of Wo*m values
+        _, C, H, W = x.shape
+        dcols = (w.T @ grad.transpose(1, 2, 3, 0).reshape(O, -1)
+                 ).reshape(C, k, k, Ho, Wo, m)
+        dx = np.zeros((C, H, W, m), dtype=grad.dtype)
         for u in range(k):
             for v in range(k):
-                patch = x[:, :, u:u + Ho, v:v + Wo]
-                self.dW[:, :, u, v] = np.einsum("mchw,mohw->oc", patch, grad,
-                                                optimize=True)
-                dx[:, :, u:u + Ho, v:v + Wo] += np.einsum(
-                    "mohw,oc->mchw", grad, self.W[:, :, u, v], optimize=True)
-        if p:
-            dx = dx[:, :, p:-p, p:-p]
-        return dx
+                dx[:, u:u + Ho, v:v + Wo] += dcols[:, u, v]
+        return np.ascontiguousarray(dx[:, p:H - p, p:W - p].transpose(3, 0, 1, 2))
 
 
 class ReLU:
@@ -113,25 +153,31 @@ class ReLU:
 
 
 class MaxPool2x2:
-    """2x2 max pooling, stride 2. Gradient flows only to the argmax of
-    each window (first index wins on ties)."""
+    """2x2 max pooling, stride 2: ``np.maximum`` over the four strided
+    views ``x[..., i::2, j::2]``, so each output depends only on its own
+    window. Backward routes each window's gradient through the same views
+    to the max; on ties the first view in ``VIEWS`` order wins. The other
+    slots get a zero with the sign of the gradient."""
     params = ()
     grads = ()
 
+    VIEWS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
     def forward(self, x):
-        m, c, H, W = x.shape
-        win = x.reshape(m, c, H // 2, 2, W // 2, 2)
-        win = win.transpose(0, 1, 2, 4, 3, 5).reshape(m, c, H // 2, W // 2, 4)
-        self._argmax = win.argmax(axis=-1)
-        self._in_shape = x.shape
-        return win.max(axis=-1)
+        a, b, c, d = (x[..., i::2, j::2] for i, j in self.VIEWS)
+        out = np.maximum(np.maximum(a, b), np.maximum(c, d))
+        self._x, self._out = x, out
+        return out
 
     def backward(self, grad):
-        m, c, Ho, Wo = grad.shape
-        flat = np.zeros((m, c, Ho, Wo, 4), dtype=grad.dtype)
-        np.put_along_axis(flat, self._argmax[..., None], grad[..., None], axis=-1)
-        flat = flat.reshape(m, c, Ho, Wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return flat.reshape(self._in_shape)
+        x, out = self._x, self._out
+        dx = np.empty(x.shape, dtype=grad.dtype)
+        free = np.ones(grad.shape, dtype=bool)
+        for i, j in self.VIEWS:
+            hit = free & (x[..., i::2, j::2] == out)
+            np.multiply(grad, hit, out=dx[..., i::2, j::2])
+            free &= ~hit
+        return dx
 
 
 class Flatten:
@@ -196,7 +242,7 @@ class Backbone:
         rng = np.random.default_rng(seed)
         flat = 16 * ((input_side // 2 - 4) // 2) ** 2
         self.trunk = [
-            Conv2D(1, 6, 5, 2, rng, dtype), ReLU(), MaxPool2x2(),
+            Conv2D(1, 6, 5, 2, rng, dtype, input_grad=False), ReLU(), MaxPool2x2(),
             Conv2D(6, 16, 5, 0, rng, dtype), ReLU(), MaxPool2x2(),
             Flatten(),
             Dense(flat, 120, rng, dtype), ReLU(),
@@ -230,13 +276,14 @@ class Backbone:
         return h, self.classifier.forward(h)
 
     def backward(self, dlogits: np.ndarray, dfeatures=None):
-        """Backpropagate gradients w.r.t. logits and (optionally) features."""
+        """Backpropagate gradients w.r.t. logits and (optionally) features
+        into every layer's parameter gradients. The images get no gradient:
+        the first convolution stops at its dW and db."""
         g = self.classifier.backward(dlogits)
         if dfeatures is not None:
             g = g + dfeatures
         for layer in reversed(self.trunk):
             g = layer.backward(g)
-        return g
 
     def astype(self, dtype) -> "Backbone":
         """Copy of the model with all parameters cast to dtype."""
@@ -272,14 +319,21 @@ class Backbone:
             value[...] = arrays[name].astype(self.dtype)
 
 
+def embed(model: Backbone, images: np.ndarray,
+          batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """(features, logits) for a stack of images, from one forward pass per
+    chunk of batch_size; batching does not affect values."""
+    if images.ndim == 2:
+        images = images[None]
+    feats, logits = zip(*(model.forward(images[i:i + batch_size])
+                          for i in range(0, len(images), batch_size)))
+    return np.concatenate(feats), np.concatenate(logits)
+
+
 def extract_features(model: Backbone, images: np.ndarray,
                      batch_size: int = 256) -> np.ndarray:
     """Deep features for a stack of images; batching does not affect values."""
-    if images.ndim == 2:
-        images = images[None]
-    chunks = [model.forward(images[i:i + batch_size])[0]
-              for i in range(0, len(images), batch_size)]
-    return np.concatenate(chunks, axis=0)
+    return embed(model, images, batch_size)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import f64_setup, nearest_mean_accuracy
-from oodnet import (Backbone, Centers, TrainConfig, extract_features,
+from oodnet import (Backbone, Centers, TrainConfig, embed, extract_features,
                     grad_check, softmax_xent, synth_blobs, train, train_epoch)
 from oodnet.data import MiniBatch
 from oodnet.errors import LabelOutOfRange, ShapeMismatch
-from oodnet.nn import SGD, Conv2D, Dense, MaxPool2x2, ReLU
+from oodnet.nn import BLOCK, SGD, Conv2D, Dense, MaxPool2x2, ReLU
 
 
 # --- independent explicit-loop reference for the forward pass ---
@@ -30,6 +30,22 @@ def ref_conv(x, W, b, pad):
                                 acc += xp[s, c, i + u, j + v] * W[o, c, u, v]
                     out[s, o, i, j] = acc
     return out
+
+
+def ref_conv_backward(x, W, grad, pad):
+    """(dW, db, dx) of a stride-1 convolution, one output pixel at a time."""
+    k = W.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dW, dxp = np.zeros(W.shape), np.zeros(xp.shape)
+    m, O, Ho, Wo = grad.shape
+    for s in range(m):
+        for o in range(O):
+            for i in range(Ho):
+                for j in range(Wo):
+                    dW[o] += grad[s, o, i, j] * xp[s, :, i:i + k, j:j + k]
+                    dxp[s, :, i:i + k, j:j + k] += grad[s, o, i, j] * W[o]
+    db = grad.sum(axis=(0, 2, 3))
+    return dW, db, dxp[:, :, pad:xp.shape[2] - pad, pad:xp.shape[3] - pad]
 
 
 def ref_pool(x):
@@ -204,7 +220,48 @@ class TestGradCheck:
         assert err <= 1e-6
 
 
+class TestConv2D:
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_matches_explicit_loop_reference(self, pad):
+        rng = np.random.default_rng(7)
+        layer = Conv2D(2, 3, 5, pad, rng, np.float64)
+        layer.b[...] = rng.normal(size=3)
+        x = rng.normal(size=(BLOCK + 3, 2, 8, 8))
+        out = layer.forward(x)
+        np.testing.assert_allclose(out, ref_conv(x, layer.W, layer.b, pad),
+                                   rtol=1e-10, atol=1e-12)
+        grad = rng.normal(size=out.shape)
+        dx = layer.backward(grad)
+        ref_dW, ref_db, ref_dx = ref_conv_backward(x, layer.W, grad, pad)
+        for got, want in ((layer.dW, ref_dW), (layer.db, ref_db), (dx, ref_dx)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+        first = Conv2D(2, 3, 5, pad, np.random.default_rng(7), np.float64,
+                       input_grad=False)
+        first.W[...], first.b[...] = layer.W, layer.b
+        first.forward(x)
+        assert first.backward(grad) is None
+        np.testing.assert_array_equal(first.dW, layer.dW)
+        np.testing.assert_array_equal(first.db, layer.db)
+
+
 class TestMaxPool:
+    def test_ties_match_reference_loop(self):
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 3, size=(3, 2, 8, 8)).astype(np.float32)
+        x[0, 0] = 1.0  # every window of this channel is a four-way tie
+        grad = rng.normal(size=(3, 2, 4, 4)).astype(np.float32)
+        pool = MaxPool2x2()
+        out = pool.forward(x)
+        dx = pool.backward(grad)
+        ref_dx = np.zeros_like(x)
+        for s, c, i, j in np.ndindex(grad.shape):
+            window = x[s, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
+            u, v = divmod(int(np.argmax(window)), 2)   # first max wins
+            ref_dx[s, c, 2 * i + u, 2 * j + v] = grad[s, c, i, j]
+        np.testing.assert_array_equal(out, ref_pool(x))
+        np.testing.assert_array_equal(dx, ref_dx)
+
     def test_backward_routes_to_argmax_only(self):
         rng = np.random.default_rng(0)
         pool = MaxPool2x2()
@@ -230,8 +287,14 @@ class TestExtractFeatures:
         images = np.zeros((7, 12, 12), dtype=np.float32)
         assert extract_features(small_model, images).shape == (7, 84)
 
-    def test_repeat_calls_bit_identical(self, small_model):
-        images = np.random.default_rng(6).random((5, 12, 12)).astype(np.float32)
-        a = extract_features(small_model, images, batch_size=2)
-        b = extract_features(small_model, images, batch_size=5)
-        np.testing.assert_array_equal(a, b)
+    @pytest.mark.parametrize("batch_size", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_repeat_calls_bit_identical(self, small_model, batch_size):
+        images = (np.random.default_rng(6).random((2 * BLOCK + 5, 12, 12))
+                  .astype(np.float32))
+        feats, logits = embed(small_model, images, batch_size=batch_size)
+        whole_feats, whole_logits = embed(small_model, images,
+                                          batch_size=len(images))
+        np.testing.assert_array_equal(feats, whole_feats)
+        np.testing.assert_array_equal(logits, whole_logits)
+        np.testing.assert_array_equal(
+            extract_features(small_model, images, batch_size=batch_size), feats)
