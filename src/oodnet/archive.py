@@ -60,14 +60,9 @@ def _collect_blobs(state: ModelState):
 
 
 def save_model(path, state: ModelState):
-    bb = state.backbone
     blobs = _collect_blobs(state)
     header = {
-        "arch": {
-            "n_classes": bb.n_classes,
-            "input_side": bb.input_side,
-            "feature_dim": bb.feature_dim,
-        },
+        "arch": state.backbone.spec(),
         "has_centers": state.centers is not None,
         "center_rate": state.centers.rate if state.centers else None,
         "has_detector": state.detector is not None,

@@ -79,7 +79,9 @@ def cmd_train_head(args):
     state = load_model(path)
     main_train, _ = _load_source(cfg.main, anomaly=False)
     anomaly_train, _ = _load_source(cfg.anomaly, anomaly=True)
-    state.head = run_stage_two(state.backbone, anomaly_train, main_train,
+    model = state.backbone
+    state.head = run_stage_two(extract_features(model, main_train.images),
+                               extract_features(model, anomaly_train.images),
                                cfg.seeds[0], cfg)
     save_model(path, state)
     print(f"trained anomaly head; updated {path}")
@@ -95,16 +97,7 @@ def cmd_eval(args):
     _, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
     lam = state.meta.get("lambda", cfg.lambdas[0])
     seed = state.meta.get("seed", cfg.seeds[0])
-    cell = evaluate(state, main_test, anomaly_test, lam, seed)
-    rows = [
-        {"lambda": lam, "seed": seed, "method": "classification",
-         "f1": cell.classification_f1, "auc": None},
-        {"lambda": lam, "seed": seed, "method": "semi-supervised",
-         "f1": cell.semi_f1, "auc": cell.semi_auc},
-    ]
-    if cell.sup_f1 is not None:
-        rows.append({"lambda": lam, "seed": seed, "method": "supervised",
-                     "f1": cell.sup_f1, "auc": cell.sup_auc})
+    rows = evaluate(state, main_test, anomaly_test, lam, seed).rows()
     out = getattr(args, "out", None) or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "eval_metrics.csv")

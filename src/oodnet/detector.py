@@ -85,7 +85,7 @@ class DetectorModel:
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         """Per-class Mahalanobis distances of a single feature vector."""
-        return np.array([s.mahalanobis(x) for s in self.stats])
+        return self.distances_many(np.atleast_2d(x))[0]
 
     def distances_many(self, xs: np.ndarray) -> np.ndarray:
         """(M, n_classes) distance matrix."""

@@ -3,6 +3,7 @@ and the CSV emitters used by the experiment runner."""
 from __future__ import annotations
 
 import csv
+from statistics import median
 
 import numpy as np
 
@@ -153,3 +154,19 @@ def write_projection_csv(proj: np.ndarray, labels, is_ood, path):
         for (x, y), label, flag in zip(proj, labels, is_ood):
             writer.writerow([_fmt(float(x)), _fmt(float(y)),
                              int(label), int(flag)])
+
+
+def write_median_csv(rows: list[dict], path):
+    """Median across seeds of metrics rows, for each (lambda, method)."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault((row["lambda"], row["method"]), []).append(row)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "method", "f1_median", "auc_median"])
+        for (lam, method), cells in sorted(groups.items(),
+                                           key=lambda kv: (kv[0][0], kv[0][1])):
+            f1s = median(c["f1"] for c in cells)
+            aucs = [c["auc"] for c in cells if c["auc"] is not None]
+            writer.writerow([repr(lam), method, repr(f1s),
+                             repr(median(aucs)) if aucs else ""])

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from statistics import median
 
 import numpy as np
 
@@ -14,9 +13,9 @@ from .archive import ModelState, save_model
 from .centerloss import Centers
 from .detector import DetectorModel, fit_stats
 from .errors import ConfigError
-from .evalkit import (confusion, f1, pca2, roc, write_metrics_csv,
-                      write_projection_csv, write_roc_csv)
-from .head import HeadTrainConfig, OodHead, train_head
+from .evalkit import (confusion, f1, pca2, roc, write_median_csv,
+                      write_metrics_csv, write_projection_csv, write_roc_csv)
+from .head import HeadTrainConfig, OodHead, train_head_on_features
 from .nn import Backbone, TrainConfig, embed, extract_features, train
 
 # ---------------------------------------------------------------------------
@@ -157,18 +156,22 @@ def run_stage_one(main_train, lam: float, seed: int, cfg: RunConfig):
 
 
 def run_calibration(model, main_train, percentile: float) -> DetectorModel:
-    feats = extract_features(model, main_train.images)
-    det = DetectorModel(fit_stats(feats, main_train.labels), percentile)
-    det.calibrate(feats, main_train.labels)
+    return calibrate_on_features(extract_features(model, main_train.images),
+                                 main_train.labels, percentile)
+
+
+def calibrate_on_features(feats, labels, percentile: float) -> DetectorModel:
+    det = DetectorModel(fit_stats(feats, labels), percentile)
+    det.calibrate(feats, labels)
     # float32-snapped so evaluation after an archive round trip is bit-equal
     return det.snap32()
 
 
-def run_stage_two(model, anomaly_train, main_train, seed: int,
-                  cfg: RunConfig) -> OodHead:
+def run_stage_two(feats_main, feats_anom, seed: int, cfg: RunConfig) -> OodHead:
+    """Train the anomaly head on main-train and anomaly-train features."""
     hc = HeadTrainConfig(seed=seed, **cfg.head_train)
-    head = OodHead(model.feature_dim, seed=seed, tau=cfg.tau)
-    train_head(model, head, main_train, anomaly_train, hc)
+    head = OodHead(feats_main.shape[1], seed=seed, tau=cfg.tau)
+    train_head_on_features(head, feats_main, feats_anom, hc)
     return head
 
 
@@ -185,15 +188,31 @@ class CellResult:
     sup_auc: float | None = None
     sup_roc: object = None
 
+    def rows(self) -> list[dict]:
+        """This cell's metrics.csv rows: classification, semi-supervised
+        and, with a head, supervised."""
+        rows = [("classification", self.classification_f1, None),
+                ("semi-supervised", self.semi_f1, self.semi_auc)]
+        if self.sup_roc is not None:
+            rows.append(("supervised", self.sup_f1, self.sup_auc))
+        return [{"lambda": self.lam, "seed": self.seed, "method": method,
+                 "f1": f1_, "auc": auc} for method, f1_, auc in rows]
+
 
 def evaluate(state: ModelState, main_test, anomaly_test, lam: float,
              seed: int) -> CellResult:
-    model = state.backbone
-    n = model.n_classes
-    feats_in, logits = embed(model, main_test.images)
-    cls_f1 = f1(confusion(main_test.labels, logits.argmax(axis=1), n), "macro")
+    return evaluate_on_features(
+        state, *embed(state.backbone, main_test.images), main_test.labels,
+        extract_features(state.backbone, anomaly_test.images), lam, seed)
 
-    feats_out = extract_features(model, anomaly_test.images)
+
+def evaluate_on_features(state: ModelState, feats_in, logits_in, labels_in,
+                         feats_out, lam: float, seed: int) -> CellResult:
+    """Classification F1 on the main test split, and both detectors'
+    F1 and ROC with the anomaly test split as the positive class."""
+    n = state.backbone.n_classes
+    cls_f1 = f1(confusion(labels_in, logits_in.argmax(axis=1), n), "macro")
+
     feats_all = np.concatenate([feats_in, feats_out])
     is_ood = np.concatenate([np.zeros(len(feats_in), dtype=bool),
                              np.ones(len(feats_out), dtype=bool)])
@@ -243,37 +262,33 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
     for seed in cfg.seeds:
         for lam in cfg.lambdas:
             model, centers, _ = run_stage_one(main_train, lam, seed, cfg)
-            det = run_calibration(model, main_train, cfg.percentile)
+            # each split is embedded once; every later stage reads features
+            feats_train, _ = embed(model, main_train.images)
+            feats_in, logits_in = embed(model, main_test.images)
+            feats_out, _ = embed(model, anomaly_test.images)
+            det = calibrate_on_features(feats_train, main_train.labels,
+                                        cfg.percentile)
             state = ModelState(backbone=model, centers=centers, detector=det,
                                meta={"lambda": lam, "seed": seed,
                                      "trained_on": main_train.role})
             if anomaly_train is not None and len(anomaly_train):
-                state.head = run_stage_two(model, anomaly_train, main_train,
-                                           seed, cfg)
-            cell = evaluate(state, main_test, anomaly_test, lam, seed)
+                state.head = run_stage_two(
+                    feats_train, embed(model, anomaly_train.images)[0], seed, cfg)
+            cell = evaluate_on_features(state, feats_in, logits_in,
+                                        main_test.labels, feats_out, lam, seed)
             results.append(cell)
+            metric_rows.extend(cell.rows())
 
             tag = _tag(lam, seed)
             save_model(os.path.join(cfg.output_dir, f"model_{tag}.oodn"), state)
             write_roc_csv(cell.semi_roc,
                           os.path.join(cfg.output_dir, f"roc_semi_{tag}.csv"))
-            metric_rows.append({"lambda": lam, "seed": seed,
-                                "method": "classification",
-                                "f1": cell.classification_f1, "auc": None})
-            metric_rows.append({"lambda": lam, "seed": seed,
-                                "method": "semi-supervised",
-                                "f1": cell.semi_f1, "auc": cell.semi_auc})
             if cell.sup_roc is not None:
                 write_roc_csv(cell.sup_roc,
                               os.path.join(cfg.output_dir, f"roc_sup_{tag}.csv"))
-                metric_rows.append({"lambda": lam, "seed": seed,
-                                    "method": "supervised",
-                                    "f1": cell.sup_f1, "auc": cell.sup_auc})
 
-            feats_in = extract_features(model, main_test.images)
-            feats_out = extract_features(model, anomaly_test.images)
-            feats_all = np.concatenate([feats_in, feats_out])
-            _, proj, _ = pca2(feats_all, centers.values)
+            _, proj, _ = pca2(np.concatenate([feats_in, feats_out]),
+                              centers.values)
             labels = np.concatenate([main_test.labels,
                                      np.full(len(feats_out), -1)])
             flags = np.concatenate([np.zeros(len(feats_in), dtype=int),
@@ -282,24 +297,6 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
                                  os.path.join(cfg.output_dir, f"proj_{tag}.csv"))
 
     write_metrics_csv(metric_rows, os.path.join(cfg.output_dir, "metrics.csv"))
-    _write_median_summary(metric_rows,
-                          os.path.join(cfg.output_dir, "metrics_median.csv"))
+    write_median_csv(metric_rows,
+                     os.path.join(cfg.output_dir, "metrics_median.csv"))
     return results
-
-
-def _write_median_summary(rows: list[dict], path):
-    """Median across seeds for each (lambda, method)."""
-    import csv
-
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["lambda"], row["method"]), []).append(row)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "method", "f1_median", "auc_median"])
-        for (lam, method), cells in sorted(groups.items(),
-                                           key=lambda kv: (kv[0][0], kv[0][1])):
-            f1s = median(c["f1"] for c in cells)
-            aucs = [c["auc"] for c in cells if c["auc"] is not None]
-            writer.writerow([repr(lam), method, repr(f1s),
-                             repr(median(aucs)) if aucs else ""])

@@ -7,15 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyDataset
-from .nn import SGD, Backbone, Dense, ReLU, extract_features
+from .errors import DimMismatch
+from .nn import SGD, Backbone, Dense, LayerStack, ReLU, extract_features
 
 BCE_CLAMP = 1e-7
 
 
-class OodHead:
+class OodHead(LayerStack):
     """dense(d -> 256) / relu / dense(256 -> 256) / relu / dense(256 -> 1)
     with sigmoid output. Emits probability of the sample being normal."""
+    blob_names = ("head1", "head2", "head3")
 
     def __init__(self, in_dim: int, seed: int = 0, dtype=np.float32,
                  tau: float = 0.5):
@@ -29,11 +30,8 @@ class OodHead:
         self.tau = tau
         self.dtype = dtype
 
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.params]
-
-    def gradients(self):
-        return [g for layer in self.layers for g in layer.grads]
+    def spec(self) -> dict:
+        return {"in_dim": self.in_dim, "tau": self.tau}
 
     def forward_many(self, features: np.ndarray) -> np.ndarray:
         if features.ndim != 2 or features.shape[1] != self.in_dim:
@@ -49,25 +47,6 @@ class OodHead:
         for layer in reversed(self.layers):
             g = layer.backward(g)
         return g
-
-    def astype(self, dtype) -> "OodHead":
-        other = OodHead(self.in_dim, seed=0, dtype=dtype, tau=self.tau)
-        for dst, src in zip(other.layers, self.layers):
-            for p_dst, p_src in zip(dst.params, src.params):
-                p_dst[...] = p_src.astype(dtype)
-        return other
-
-    def state(self) -> dict:
-        out = {}
-        dense = [l for l in self.layers if isinstance(l, Dense)]
-        for i, layer in enumerate(dense, 1):
-            out[f"head{i}.W"] = layer.W
-            out[f"head{i}.b"] = layer.b
-        return out
-
-    def load_state(self, arrays: dict):
-        for name, value in self.state().items():
-            value[...] = arrays[name].astype(self.dtype)
 
 
 def _sigmoid(z):
@@ -85,12 +64,13 @@ def head_forward(head: OodHead, feature: np.ndarray) -> float:
 
 
 def bce(p: float, y: int) -> float:
-    """Binary cross-entropy with probabilities clamped away from {0, 1}."""
-    p = min(max(float(p), BCE_CLAMP), 1.0 - BCE_CLAMP)
-    return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
+    """Binary cross-entropy of one probability."""
+    return bce_many(np.array([float(p)]), np.array([y]))
 
 
 def bce_many(p: np.ndarray, y: np.ndarray) -> float:
+    """Summed binary cross-entropy with probabilities clamped away from
+    {0, 1}."""
     p = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
     return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)).sum())
 
@@ -118,13 +98,11 @@ def train_head(model: Backbone, head: OodHead, main_ds, anomaly_ds,
     label 1 = normal (main data), 0 = anomaly.
 
     Each epoch subsamples the larger source down to the smaller one so
-    batches stay balanced. Returns the per-epoch mean loss trace.
+    batches stay balanced. Returns the per-epoch mean loss trace. An empty
+    dataset raises EmptyDataset.
     """
-    if len(main_ds) == 0 or len(anomaly_ds) == 0:
-        raise EmptyDataset("both main and anomaly datasets must be nonempty")
-    feats_main = extract_features(model, main_ds.images)
-    feats_anom = extract_features(model, anomaly_ds.images)
-    return train_head_on_features(head, feats_main, feats_anom, cfg)
+    return train_head_on_features(head, extract_features(model, main_ds.images),
+                                  extract_features(model, anomaly_ds.images), cfg)
 
 
 def train_head_on_features(head: OodHead, feats_main, feats_anom,

@@ -16,13 +16,14 @@ block or batch size around it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .centerloss import center_loss, center_loss_grads, combine
 from .data import ROLE_MAIN_TRAIN, LabeledDataset, MiniBatch, make_batches
-from .errors import LabelOutOfRange, NonFiniteLoss, ShapeMismatch
+from .errors import EmptyDataset, LabelOutOfRange, NonFiniteLoss, ShapeMismatch
 
 
 @dataclass
@@ -222,23 +223,73 @@ class Dense:
 
 
 # ---------------------------------------------------------------------------
-# backbone
+# layer stacks
 
 
-class Backbone:
+class LayerStack:
+    """A model that is a list of layers; the base of Backbone and OodHead.
+
+    It owns the parameter and gradient lists, dtype casts and the named
+    parameter state. A subclass sets ``layers`` and ``dtype``, names in
+    ``blob_names`` each layer that has parameters (in layer order), and
+    returns from ``spec()`` the constructor arguments of its shape.
+    """
+    layers: list
+    blob_names: tuple
+    dtype: type
+
+    def spec(self) -> dict:
+        raise NotImplementedError
+
+    def parameters(self):
+        return [p for layer in self.layers for p in layer.params]
+
+    def gradients(self):
+        return [g for layer in self.layers for g in layer.grads]
+
+    def astype(self, dtype):
+        """Copy of the model with all parameters cast to dtype."""
+        other = type(self)(**self.spec(), dtype=dtype)
+        other.load_state(self.state())
+        return other
+
+    def state(self) -> dict:
+        """Named parameter arrays, in layer order."""
+        out = {}
+        owners = [layer for layer in self.layers if layer.params]
+        for name, layer in zip(self.blob_names, owners):
+            out[f"{name}.W"] = layer.W
+            out[f"{name}.b"] = layer.b
+        return out
+
+    def load_state(self, arrays: dict):
+        """Copy named arrays into the parameters. Every parameter must be
+        present with its own shape; nothing is broadcast."""
+        for name, value in self.state().items():
+            if name not in arrays:
+                raise ShapeMismatch(f"missing parameter {name}")
+            if arrays[name].shape != value.shape:
+                raise ShapeMismatch(f"{name}: {arrays[name].shape} vs {value.shape}")
+            value[...] = arrays[name].astype(self.dtype)
+
+
+class Backbone(LayerStack):
     """conv(1->6, 5x5, pad 2) / pool / conv(6->16, 5x5) / pool /
     dense->120 / dense->feature_dim / linear classifier.
 
     forward returns (deep features, logits); the feature vector is the
-    post-ReLU output of the feature_dim layer.
+    post-ReLU output of the feature_dim layer. The input side must be a
+    multiple of 4 (both poolings halve an even side) and at least 12.
     """
+    blob_names = ("conv1", "conv2", "fc1", "fc2", "clf")
 
     def __init__(self, n_classes: int, input_side: int = 28,
                  feature_dim: int = 84, seed: int = 0, dtype=np.float32):
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
-        if input_side % 2 or input_side < 12:
-            raise ValueError("input side must be even and >= 12")
+        if input_side % 4 or input_side < 12:
+            raise ShapeMismatch(
+                f"input side {input_side}: must be a multiple of 4 and >= 12")
         rng = np.random.default_rng(seed)
         flat = 16 * ((input_side // 2 - 4) // 2) ** 2
         self.trunk = [
@@ -249,20 +300,15 @@ class Backbone:
             Dense(120, feature_dim, rng, dtype), ReLU(),
         ]
         self.classifier = Dense(feature_dim, n_classes, rng, dtype)
+        self.layers = self.trunk + [self.classifier]
         self.n_classes = n_classes
         self.input_side = input_side
         self.feature_dim = feature_dim
         self.dtype = dtype
 
-    @property
-    def layers(self):
-        return self.trunk + [self.classifier]
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.params]
-
-    def gradients(self):
-        return [g for layer in self.layers for g in layer.grads]
+    def spec(self) -> dict:
+        return {"n_classes": self.n_classes, "input_side": self.input_side,
+                "feature_dim": self.feature_dim}
 
     def forward(self, images: np.ndarray):
         """images (m, H, W) -> (features (m, d), logits (m, n))."""
@@ -285,39 +331,6 @@ class Backbone:
         for layer in reversed(self.trunk):
             g = layer.backward(g)
 
-    def astype(self, dtype) -> "Backbone":
-        """Copy of the model with all parameters cast to dtype."""
-        other = Backbone(self.n_classes, self.input_side, self.feature_dim,
-                         seed=0, dtype=dtype)
-        for dst, src in zip(other.layers, self.layers):
-            for p_dst, p_src in zip(dst.params, src.params):
-                p_dst[...] = p_src.astype(dtype)
-        return other
-
-    def state(self) -> dict:
-        """Named parameter arrays, in a stable order."""
-        out = {}
-        dense_names = iter(["fc1", "fc2", "clf"])
-        conv_names = iter(["conv1", "conv2"])
-        for layer in self.layers:
-            if isinstance(layer, Conv2D):
-                name = next(conv_names)
-            elif isinstance(layer, Dense):
-                name = next(dense_names)
-            else:
-                continue
-            out[f"{name}.W"] = layer.W
-            out[f"{name}.b"] = layer.b
-        return out
-
-    def load_state(self, arrays: dict):
-        for name, value in self.state().items():
-            if name not in arrays:
-                raise KeyError(f"missing parameter {name}")
-            if arrays[name].shape != value.shape:
-                raise ShapeMismatch(f"{name}: {arrays[name].shape} vs {value.shape}")
-            value[...] = arrays[name].astype(self.dtype)
-
 
 def embed(model: Backbone, images: np.ndarray,
           batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -325,6 +338,8 @@ def embed(model: Backbone, images: np.ndarray,
     chunk of batch_size; batching does not affect values."""
     if images.ndim == 2:
         images = images[None]
+    if not len(images):
+        raise EmptyDataset("no images to embed")
     feats, logits = zip(*(model.forward(images[i:i + batch_size])
                           for i in range(0, len(images), batch_size)))
     return np.concatenate(feats), np.concatenate(logits)
@@ -382,6 +397,23 @@ class EpochRecord:
     accuracy: float
 
 
+def loss_and_grads(model: Backbone, centers, batch: MiniBatch, lam: float):
+    """One forward pass, the batch-summed combined loss (softmax
+    cross-entropy plus lam times the centroid term) and its unweighted
+    gradients.
+
+    -> (loss, logits, dlogits, dfeatures, center deltas); the last two are
+    None when lam is 0, and centers is then not read.
+    """
+    features, logits = model.forward(batch.images)
+    loss_s, dlogits = softmax_xent(logits, batch.labels)
+    loss_c, dfeatures, deltas = 0.0, None, None
+    if lam > 0:
+        loss_c = center_loss(features, batch.labels, centers)
+        dfeatures, deltas = center_loss_grads(features, batch.labels, centers)
+    return combine(loss_s, loss_c, lam), logits, dlogits, dfeatures, deltas
+
+
 def train_epoch(model: Backbone, centers, ds: LabeledDataset,
                 cfg: TrainConfig, optimizer: SGD | None = None,
                 epoch_seed: int | None = None) -> EpochRecord:
@@ -391,8 +423,6 @@ def train_epoch(model: Backbone, centers, ds: LabeledDataset,
     size is insensitive to batch size. Mutates model and centers in
     place; deterministic given (cfg.seed, epoch_seed).
     """
-    from .centerloss import center_loss, center_loss_grads
-
     if ds.role != ROLE_MAIN_TRAIN:
         raise ValueError(f"training requires a main-train dataset, got {ds.role}")
     if optimizer is None:
@@ -402,20 +432,14 @@ def train_epoch(model: Backbone, centers, ds: LabeledDataset,
     total_correct = 0
     for batch in make_batches(ds, cfg.batch_size, seed=seed, shuffle=True):
         m = len(batch)
-        features, logits = model.forward(batch.images)
-        loss_s, dlogits = softmax_xent(logits, batch.labels)
-        loss = loss_s
-        dfeatures = None
-        if cfg.lam > 0:
-            loss_c = center_loss(features, batch.labels, centers)
-            dfeat, deltas = center_loss_grads(features, batch.labels, centers)
-            loss += cfg.lam * loss_c
-            dfeatures = (cfg.lam / m) * dfeat
+        loss, logits, dlogits, dfeat, deltas = loss_and_grads(
+            model, centers, batch, cfg.lam)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss={loss} on batch of {m}")
-        model.backward(dlogits / m, dfeatures)
+        model.backward(dlogits / m,
+                       None if dfeat is None else (cfg.lam / m) * dfeat)
         optimizer.step(model.gradients())
-        if cfg.lam > 0:
+        if deltas is not None:
             centers.apply_deltas(deltas)
         total_loss += loss
         total_correct += int((logits.argmax(axis=1) == batch.labels).sum())
@@ -439,16 +463,6 @@ def train(model: Backbone, centers, ds: LabeledDataset,
 # gradient verification
 
 
-def _combined_loss(model: Backbone, centers, batch: MiniBatch, lam: float):
-    from .centerloss import center_loss
-
-    features, logits = model.forward(batch.images)
-    loss, _ = softmax_xent(logits, batch.labels)
-    if lam > 0:
-        loss += lam * center_loss(features, batch.labels, centers)
-    return loss
-
-
 def grad_check(model: Backbone, batch: MiniBatch, eps: float = 1e-5,
                lam: float = 0.0, centers=None, n_samples: int = 200,
                seed: int = 0) -> float:
@@ -456,16 +470,8 @@ def grad_check(model: Backbone, batch: MiniBatch, eps: float = 1e-5,
     on a random subset of parameters. Requires a float64 model."""
     if model.dtype != np.float64:
         raise ValueError("gradient checking requires a float64 model")
-    from .centerloss import center_loss_grads
-
-    m = len(batch)
-    features, logits = model.forward(batch.images)
-    _, dlogits = softmax_xent(logits, batch.labels)
-    dfeatures = None
-    if lam > 0:
-        dfeat, _ = center_loss_grads(features, batch.labels, centers)
-        dfeatures = lam * dfeat
-    model.backward(dlogits, dfeatures)
+    _, _, dlogits, dfeat, _ = loss_and_grads(model, centers, batch, lam)
+    model.backward(dlogits, None if dfeat is None else lam * dfeat)
     params = model.parameters()
     grads = model.gradients()
 
@@ -481,9 +487,9 @@ def grad_check(model: Backbone, batch: MiniBatch, eps: float = 1e-5,
         p = params[k]
         orig = p[local]
         p[local] = orig + eps
-        up = _combined_loss(model, centers, batch, lam)
+        up = loss_and_grads(model, centers, batch, lam)[0]
         p[local] = orig - eps
-        down = _combined_loss(model, centers, batch, lam)
+        down = loss_and_grads(model, centers, batch, lam)[0]
         p[local] = orig
         numeric = (up - down) / (2 * eps)
         analytic = grads[k][local]

@@ -5,15 +5,16 @@ import struct
 import numpy as np
 import pytest
 
-from oodnet import synth_blobs
+from oodnet import nn, synth_blobs
 from oodnet.archive import ModelState, load_model, save_model
 from oodnet.centerloss import Centers
 from oodnet.cli import main
 from oodnet.data import serialize_idx
 from oodnet.detector import DetectorModel, fit_stats
 from oodnet.errors import (BadMagic, ConfigError, CorruptLength,
-                           VersionMismatch)
-from oodnet.experiment import RunConfig, evaluate, run_experiment
+                           OodnetError, VersionMismatch)
+from oodnet.experiment import (RunConfig, _load_source, evaluate,
+                               run_experiment)
 from oodnet.head import OodHead
 from oodnet.nn import Backbone, extract_features
 
@@ -114,6 +115,56 @@ class TestArchive:
             load_model(path)
 
 
+def rewrite_blob(path, name, keep=None):
+    """Rewrite an archive in place with blob ``name`` dropped, or cut to
+    its first ``keep`` values, and the header to match."""
+    data = path.read_bytes()
+    header_len, = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16:16 + header_len])
+    offset, blobs = 16 + header_len, {}
+    for entry in header["blobs"]:
+        end = offset + 4 * int(np.prod(entry["shape"]))
+        blobs[entry["name"]] = np.frombuffer(data[offset:end], dtype="<f4")
+        offset = end
+    if keep is None:
+        del blobs[name]
+    else:
+        blobs[name] = blobs[name][:keep]
+    shapes = {e["name"]: e["shape"] for e in header["blobs"]}
+    header["blobs"] = [{"name": k, "shape": shapes[k] if k != name else [keep]}
+                       for k in blobs]
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes))
+                     + header_bytes + b"".join(b.tobytes() for b in blobs.values()))
+
+
+BROKEN_BLOBS = [("conv1.W", None), ("head2.W", None), ("head1.b", 1)]
+
+
+class TestCheckedParameterLoading:
+    @pytest.mark.parametrize("name,keep", BROKEN_BLOBS)
+    def test_load_model_raises_typed_error(self, tmp_path, name, keep):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        rewrite_blob(path, name, keep)
+        with pytest.raises(OodnetError, match=name):
+            load_model(path)
+
+    @pytest.mark.parametrize("name,keep", BROKEN_BLOBS)
+    def test_score_exits_1(self, tmp_path, capsys, name, keep):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        rewrite_blob(path, name, keep)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(synth_config(tmp_path)))
+        ds = synth_blobs(2, 2, side=12, separation=3.5, seed=11)
+        img_path = tmp_path / "probe.idx"
+        img_path.write_bytes(serialize_idx((ds.images * 255).astype(np.uint8)))
+        assert main(["score", "--config", str(cfg_path), "--model", str(path),
+                     str(img_path)]) == 1
+        assert "error [score]" in capsys.readouterr().err
+
+
 class TestRunConfig:
     def test_unknown_top_level_key(self, tmp_path):
         raw = synth_config(tmp_path)
@@ -188,6 +239,46 @@ class TestRunExperiment:
         assert cell.semi_auc == ref.semi_auc
         assert cell.sup_f1 == ref.sup_f1
         assert cell.sup_auc == ref.sup_auc
+
+
+    def test_one_embedding_per_split(self, tmp_path, monkeypatch):
+        cfg = RunConfig.from_dict(synth_config(tmp_path, epochs=1))
+        depth, embedded = [0], []
+        forward, train_epoch = nn.Backbone.forward, nn.train_epoch
+
+        def counted_forward(model, images):
+            if not depth[0]:
+                embedded.append(len(images))
+            return forward(model, images)
+
+        def training(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return train_epoch(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(nn.Backbone, "forward", counted_forward)
+        monkeypatch.setattr(nn, "train_epoch", training)
+        run_experiment(cfg)
+        splits = _load_source(cfg.main, anomaly=False) \
+            + _load_source(cfg.anomaly, anomaly=True)
+        assert sum(embedded) == sum(len(ds) for ds in splits)
+
+    def test_eval_writes_the_cells_metrics_rows(self, tmp_path):
+        raw = synth_config(tmp_path, lambdas=(0.0, 0.1), epochs=1)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run-experiment", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(cfg_path), "--model",
+                     str(out / "model_lam0.1_seed0.oodn"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        sweep = (out / "metrics.csv").read_text().splitlines()
+        cell = [sweep[0]] + [l for l in sweep[1:] if l.startswith("0.1,0,")]
+        assert len(cell) == 4
+        assert (tmp_path / "eval" / "eval_metrics.csv").read_text().splitlines() \
+            == cell
 
 
 class TestDetectEndToEnd:

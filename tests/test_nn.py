@@ -108,6 +108,16 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             model.forward(np.zeros((2, 10, 10), dtype=np.float32))
 
+    @pytest.mark.parametrize("side", range(12, 31, 2))
+    def test_input_side_forwards_or_is_rejected(self, side):
+        try:
+            model = Backbone(3, input_side=side, seed=0)
+        except ShapeMismatch:
+            assert side % 4
+            return
+        feats, logits = model.forward(np.zeros((2, side, side), dtype=np.float32))
+        assert feats.shape == (2, 84) and logits.shape == (2, 3)
+
     def test_pure_function_of_inputs(self):
         model = Backbone(3, input_side=12, seed=0)
         images = np.random.default_rng(2).random((3, 12, 12)).astype(np.float32)
