@@ -16,7 +16,7 @@ from .centerloss import Centers
 from .detector import ClassStats, DetectorModel
 from .errors import BadMagic, CorruptLength, VersionMismatch
 from .head import OodHead
-from .nn import Backbone
+from .nn import Backbone, checked_blob
 
 MAGIC = b"OODN"
 VERSION = 1
@@ -122,19 +122,22 @@ def load_model(path) -> ModelState:
     if header["has_centers"]:
         centers = Centers(arch["n_classes"], arch["feature_dim"],
                           rate=header["center_rate"])
-        centers.values = blobs["centers"].copy()
+        centers.values = checked_blob(blobs, "centers",
+                                      centers.values.shape).copy()
         state.centers = centers
     if header["has_detector"]:
         det_hdr = header["detector"]
         d = arch["feature_dim"]
         stats = []
         for j, count in enumerate(det_hdr["counts"]):
-            mean = blobs[f"det.mean.{j}"].astype(np.float64)
-            cov = _unpack_upper(blobs[f"det.cov_upper.{j}"].astype(np.float64), d)
+            mean = checked_blob(blobs, f"det.mean.{j}", (d,)).astype(np.float64)
+            upper = checked_blob(blobs, f"det.cov_upper.{j}", (d * (d + 1) // 2,))
+            cov = _unpack_upper(upper.astype(np.float64), d)
             stats.append(ClassStats._from_moments(mean, cov, count))
         det = DetectorModel(stats, percentile=det_hdr["percentile"])
         if det_hdr["calibrated"]:
-            det.thresholds = blobs["det.thresholds"].astype(np.float64)
+            det.thresholds = checked_blob(blobs, "det.thresholds",
+                                          (len(stats),)).astype(np.float64)
         state.detector = det
     if header["has_head"]:
         head = OodHead(arch["feature_dim"], tau=header["head_tau"])

@@ -51,6 +51,10 @@ class NotCalibrated(OodnetError):
     """Detector used before thresholds were computed."""
 
 
+class NonFiniteFeature(OodnetError):
+    """A feature handed to the detector holds NaN or inf."""
+
+
 # --- head ---
 
 class EmptyDataset(OodnetError):

@@ -226,6 +226,15 @@ class Dense:
 # layer stacks
 
 
+def checked_blob(arrays: dict, name: str, shape: tuple) -> np.ndarray:
+    """arrays[name], which must be present with exactly ``shape``."""
+    if name not in arrays:
+        raise ShapeMismatch(f"missing blob {name}")
+    if arrays[name].shape != shape:
+        raise ShapeMismatch(f"{name}: {arrays[name].shape} vs {shape}")
+    return arrays[name]
+
+
 class LayerStack:
     """A model that is a list of layers; the base of Backbone and OodHead.
 
@@ -266,11 +275,7 @@ class LayerStack:
         """Copy named arrays into the parameters. Every parameter must be
         present with its own shape; nothing is broadcast."""
         for name, value in self.state().items():
-            if name not in arrays:
-                raise ShapeMismatch(f"missing parameter {name}")
-            if arrays[name].shape != value.shape:
-                raise ShapeMismatch(f"{name}: {arrays[name].shape} vs {value.shape}")
-            value[...] = arrays[name].astype(self.dtype)
+            value[...] = checked_blob(arrays, name, value.shape).astype(self.dtype)
 
 
 class Backbone(LayerStack):

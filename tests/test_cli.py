@@ -138,7 +138,22 @@ def rewrite_blob(path, name, keep=None):
                      + header_bytes + b"".join(b.tobytes() for b in blobs.values()))
 
 
-BROKEN_BLOBS = [("conv1.W", None), ("head2.W", None), ("head1.b", 1)]
+def score_probe(tmp_path, model_path):
+    """Exit code of ``oodnet score`` on four synthetic probe images."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(synth_config(tmp_path)))
+    ds = synth_blobs(2, 2, side=12, separation=3.5, seed=11)
+    img_path = tmp_path / "probe.idx"
+    img_path.write_bytes(serialize_idx((ds.images * 255).astype(np.uint8)))
+    return main(["score", "--config", str(cfg_path), "--model", str(model_path),
+                 str(img_path)])
+
+
+BROKEN_BLOBS = [("conv1.W", None), ("head2.W", None), ("head1.b", 1),
+                ("centers", None), ("centers", 1),
+                ("det.mean.1", None), ("det.mean.1", 5),
+                ("det.cov_upper.2", None), ("det.cov_upper.2", 7),
+                ("det.thresholds", None), ("det.thresholds", 1)]
 
 
 class TestCheckedParameterLoading:
@@ -155,13 +170,19 @@ class TestCheckedParameterLoading:
         path = tmp_path / "m.oodn"
         save_model(path, full_state())
         rewrite_blob(path, name, keep)
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(synth_config(tmp_path)))
-        ds = synth_blobs(2, 2, side=12, separation=3.5, seed=11)
-        img_path = tmp_path / "probe.idx"
-        img_path.write_bytes(serialize_idx((ds.images * 255).astype(np.uint8)))
-        assert main(["score", "--config", str(cfg_path), "--model", str(path),
-                     str(img_path)]) == 1
+        assert score_probe(tmp_path, path) == 1
+        assert "error [score]" in capsys.readouterr().err
+
+
+class TestNonFiniteFeature:
+    def test_score_exits_1_on_nan_parameter(self, tmp_path, capsys):
+        # IDX pixels are uint8, so a non-finite parameter is the way from
+        # the CLI to a non-finite feature
+        state = full_state()
+        state.backbone.state()["fc2.b"][:] = np.nan
+        path = tmp_path / "m.oodn"
+        save_model(path, state)
+        assert score_probe(tmp_path, path) == 1
         assert "error [score]" in capsys.readouterr().err
 
 

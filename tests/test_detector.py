@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from oodnet import ClassStats, DetectorModel, fit_stats
-from oodnet.errors import DegenerateClass, DimMismatch, NotCalibrated
+from oodnet import ClassStats, DetectorModel, detector, fit_stats
+from oodnet.archive import ModelState, load_model, save_model
+from oodnet.errors import (DegenerateClass, DimMismatch, NonFiniteFeature,
+                           NotCalibrated)
+from oodnet.nn import Backbone
 
 
 def random_pd(rng, d):
@@ -212,3 +215,93 @@ class TestAnomalyScore:
             det.thresholds = np.full(det.n_classes, t)
             accepted = det.is_normal_many(xs)
             np.testing.assert_array_equal(scores <= t, accepted)
+
+
+class TestDistanceKernel:
+    """The stacked whitening GEMM at the reference shape: 10 classes, 84-d."""
+
+    @pytest.fixture(scope="class")
+    def calibrated(self):
+        rng = np.random.default_rng(8)
+        det, feats, labels = fitted_detector(rng, n_classes=10, d=84,
+                                             per_class=100)
+        det.calibrate(feats, labels)
+        xs = (rng.normal(size=(600, 84)) * 6).astype(np.float32)
+        return det, xs
+
+    def test_single_row_equals_its_row_in_any_batch(self, calibrated):
+        det, xs = calibrated
+        singles = np.stack([det.distances(x) for x in xs])
+        for b in range(1, len(xs) + 1):
+            np.testing.assert_array_equal(det.distances_many(xs[:b]),
+                                          singles[:b])
+        for start in (1, 5, 255, 257):
+            for b in (1, 2, 255, 256, 257, len(xs) - start):
+                np.testing.assert_array_equal(
+                    det.distances_many(xs[start:start + b]),
+                    singles[start:start + b])
+
+    def test_matches_per_class_solves(self, calibrated):
+        det, xs = calibrated
+        ref = np.stack([s.mahalanobis_many(xs) for s in det.stats], axis=1)
+        np.testing.assert_allclose(det.distances_many(xs), ref, rtol=1e-12)
+
+    def test_zero_at_each_class_mean(self, calibrated):
+        det, _ = calibrated
+        for j, stats in enumerate(det.stats):
+            assert det.distances(stats.mean)[j] == 0.0
+
+    def test_dim_mismatch(self, calibrated):
+        det, xs = calibrated
+        with pytest.raises(DimMismatch):
+            det.distances_many(xs[:, :83])
+
+    def test_snap32_and_archive_round_trip_bit_identical(self, calibrated,
+                                                          tmp_path):
+        det, xs = calibrated
+        snapped = DetectorModel(det.stats, det.percentile)
+        snapped.thresholds = det.thresholds
+        snapped.snap32()
+        rebuilt = DetectorModel(snapped.stats, snapped.percentile)
+        np.testing.assert_array_equal(rebuilt.distances_many(xs),
+                                      snapped.distances_many(xs))
+        path = tmp_path / "m.oodn"
+        save_model(path, ModelState(backbone=Backbone(10, input_side=12),
+                                    detector=snapped))
+        loaded = load_model(path).detector
+        np.testing.assert_array_equal(loaded.distances_many(xs),
+                                      snapped.distances_many(xs))
+        np.testing.assert_array_equal(loaded.thresholds, snapped.thresholds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_raises(self, calibrated, bad):
+        det, xs = calibrated
+        rows = xs[:4].copy()
+        rows[2, 17] = bad
+        for call in (det.is_normal, det.anomaly_score):
+            with pytest.raises(NonFiniteFeature):
+                call(rows[2])
+        for call in (det.is_normal_many, det.anomaly_score_many):
+            with pytest.raises(NonFiniteFeature):
+                call(rows)
+
+    def test_scoring_and_calibration_make_no_solves(self, calibrated,
+                                                    monkeypatch):
+        det, xs = calibrated
+        calls = []
+        original = detector.cho_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(detector, "cho_solve", counted)
+        det.is_normal(xs[0])
+        det.anomaly_score(xs[0])
+        det.is_normal_many(xs)
+        det.anomaly_score_many(xs)
+        check = DetectorModel(det.stats, det.percentile)
+        check.calibrate(xs, np.arange(len(xs)) % det.n_classes)
+        assert calls == []
+        det.stats[0].mahalanobis(xs[0])  # the reference path is counted
+        assert calls == [1]
