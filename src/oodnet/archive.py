@@ -7,6 +7,7 @@ Partial states (e.g. no head yet) are flagged in the header.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .centerloss import Centers
 from .detector import ClassStats, DetectorModel
-from .errors import BadMagic, CorruptLength, VersionMismatch
+from .errors import BadMagic, CorruptLength, ShapeMismatch, VersionMismatch
 from .head import OodHead
 from .nn import Backbone, checked_blob
 
@@ -88,59 +89,91 @@ def save_model(path, state: ModelState):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def load_model(path) -> ModelState:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _field(obj, key: str, kind: type, where: str = "header"):
+    """obj[key], which must be a JSON value of ``kind``: float admits an
+    integer, and a bool stands only for bool."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+        raise CorruptLength(f"{where}.{key}: expected {kind.__name__}, "
+                            f"got {value!r}")
+    return value
+
+
+def _decode(data: bytes) -> tuple[dict, dict]:
+    """-> (header, named blobs) of archive bytes; the framing, the header
+    JSON and its blob table are checked."""
     if data[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, got {data[:4]!r}")
-    version, = struct.unpack("<I", data[4:8])
+    if len(data) < 16:
+        raise CorruptLength(f"{len(data)} bytes, shorter than the 16-byte preamble")
+    version, header_len = struct.unpack("<IQ", data[4:16])
     if version != VERSION:
         raise VersionMismatch(f"archive version {version}, supported {VERSION}")
-    header_len, = struct.unpack("<Q", data[8:16])
     if 16 + header_len > len(data):
         raise CorruptLength("declared header exceeds file size")
-    header = json.loads(data[16:16 + header_len])
+    try:
+        header = json.loads(data[16:16 + header_len])
+    except ValueError as exc:   # bytes that are not UTF-8, text that is not JSON
+        raise CorruptLength(f"header is not UTF-8 JSON: {exc}") from exc
     offset = 16 + header_len
     blobs = {}
-    for entry in header["blobs"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        end = offset + 4 * size
+    for entry in _field(header, "blobs", list):
+        name = _field(entry, "name", str, "blob")
+        shape = _field(entry, "shape", list, f"blob {name}")
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise CorruptLength(f"blob {name}: bad shape {shape}")
+        end = offset + 4 * math.prod(shape)
         if end > len(data):
-            raise CorruptLength(f"blob {entry['name']} truncated")
-        blobs[entry["name"]] = np.frombuffer(
-            data[offset:end], dtype="<f4").reshape(entry["shape"])
+            raise CorruptLength(f"blob {name} truncated")
+        blobs[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape)
         offset = end
     if offset != len(data):
         raise CorruptLength("trailing bytes after final blob")
+    return header, blobs
 
-    arch = header["arch"]
-    backbone = Backbone(arch["n_classes"], arch["input_side"],
-                        arch["feature_dim"])
+
+def load_model(path) -> ModelState:
+    with open(path, "rb") as fh:
+        header, blobs = _decode(fh.read())
+    arch = _field(header, "arch", dict)
+    n, side, d = (_field(arch, key, int, "arch")
+                  for key in ("n_classes", "input_side", "feature_dim"))
+    if n < 2 or d < 1:
+        raise CorruptLength(f"arch: {n} classes, {d} features")
+    backbone = Backbone(n, side, d)
     backbone.load_state(blobs)
-    state = ModelState(backbone=backbone, meta=header.get("meta", {}))
+    state = ModelState(backbone=backbone, meta=_field(header, "meta", dict))
 
-    if header["has_centers"]:
-        centers = Centers(arch["n_classes"], arch["feature_dim"],
-                          rate=header["center_rate"])
+    if _field(header, "has_centers", bool):
+        centers = Centers(n, d, rate=_field(header, "center_rate", float))
         centers.values = checked_blob(blobs, "centers",
                                       centers.values.shape).copy()
         state.centers = centers
-    if header["has_detector"]:
-        det_hdr = header["detector"]
-        d = arch["feature_dim"]
+    if _field(header, "has_detector", bool):
+        det_hdr = _field(header, "detector", dict)
+        counts = _field(det_hdr, "counts", list, "detector")
+        if len(counts) != n:
+            raise ShapeMismatch(f"detector.counts: {len(counts)} classes, "
+                                f"arch.n_classes {n}")
+        percentile = _field(det_hdr, "percentile", float, "detector")
+        if not 0 < percentile <= 1:
+            raise CorruptLength(f"detector.percentile {percentile} not in (0, 1]")
         stats = []
-        for j, count in enumerate(det_hdr["counts"]):
+        for j, count in enumerate(counts):
             mean = checked_blob(blobs, f"det.mean.{j}", (d,)).astype(np.float64)
             upper = checked_blob(blobs, f"det.cov_upper.{j}", (d * (d + 1) // 2,))
             cov = _unpack_upper(upper.astype(np.float64), d)
             stats.append(ClassStats._from_moments(mean, cov, count))
-        det = DetectorModel(stats, percentile=det_hdr["percentile"])
-        if det_hdr["calibrated"]:
+        det = DetectorModel(stats, percentile=percentile)
+        if _field(det_hdr, "calibrated", bool, "detector"):
             det.thresholds = checked_blob(blobs, "det.thresholds",
-                                          (len(stats),)).astype(np.float64)
+                                          (n,)).astype(np.float64)
+            if not np.isfinite(det.thresholds).all():
+                raise CorruptLength("det.thresholds holds NaN or inf")
         state.detector = det
-    if header["has_head"]:
-        head = OodHead(arch["feature_dim"], tau=header["head_tau"])
+    if _field(header, "has_head", bool):
+        head = OodHead(d, tau=_field(header, "head_tau", float))
         head.load_state(blobs)
         state.head = head
     return state

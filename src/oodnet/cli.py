@@ -14,35 +14,43 @@ import sys
 from . import data as datamod
 from .archive import ModelState, load_model, save_model
 from .errors import ConfigError, OodnetError
-from .evalkit import write_metrics_csv
-from .experiment import (RunConfig, _load_source, evaluate, run_calibration,
-                         run_experiment, run_stage_one, run_stage_two)
+from .evalkit import write_csv, write_metrics_csv
+from .experiment import (RunConfig, _load_source, _tag, evaluate,
+                         run_calibration, run_experiment, run_stage_one,
+                         run_stage_two)
 from .nn import embed, extract_features
+
+
+def _read(load, path, what):
+    """load(path); a path that cannot be read is a ConfigError."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
 def _load_config(path, args) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    cfg = RunConfig.from_dict(raw)
-    if getattr(args, "lam", None) is not None:
-        cfg.lambdas = [args.lam]
-    if getattr(args, "seed", None) is not None:
-        cfg.seeds = [args.seed]
-    if getattr(args, "out", None) is not None:
-        cfg.output_dir = args.out
-    return cfg
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if isinstance(raw, dict):   # the overrides are checked like the file
+        for key, value in (("lambdas", args.lam), ("seeds", args.seed)):
+            if value is not None:
+                raw[key] = [value]
+        if args.out is not None:
+            raw["output_dir"] = args.out
+    return RunConfig.from_dict(raw)
 
 
 def _archive_path(cfg: RunConfig, args) -> str:
-    if getattr(args, "model", None):
+    if args.model:
         return args.model
-    lam, seed = cfg.lambdas[0], cfg.seeds[0]
-    return os.path.join(cfg.output_dir, f"model_lam{lam:g}_seed{seed}.oodn")
+    return os.path.join(cfg.output_dir,
+                        f"model_{_tag(cfg.lambdas[0], cfg.seeds[0])}.oodn")
 
 
 def cmd_train(args):
@@ -63,7 +71,7 @@ def cmd_train(args):
 def cmd_calibrate(args):
     cfg = _load_config(args.config, args)
     path = _archive_path(cfg, args)
-    state = load_model(path)
+    state = _read(load_model, path, "model archive")
     main_train, _ = _load_source(cfg.main, anomaly=False)
     state.detector = run_calibration(state.backbone, main_train, cfg.percentile)
     save_model(path, state)
@@ -76,7 +84,7 @@ def cmd_train_head(args):
     if cfg.anomaly is None:
         raise ConfigError("train-head requires an anomaly data source")
     path = _archive_path(cfg, args)
-    state = load_model(path)
+    state = _read(load_model, path, "model archive")
     main_train, _ = _load_source(cfg.main, anomaly=False)
     anomaly_train, _ = _load_source(cfg.anomaly, anomaly=True)
     model = state.backbone
@@ -89,8 +97,7 @@ def cmd_train_head(args):
 
 def cmd_eval(args):
     cfg = _load_config(args.config, args)
-    path = _archive_path(cfg, args)
-    state = load_model(path)
+    state = _read(load_model, _archive_path(cfg, args), "model archive")
     _, main_test = _load_source(cfg.main, anomaly=False)
     if cfg.anomaly is None:
         raise ConfigError("eval requires an anomaly data source")
@@ -98,9 +105,8 @@ def cmd_eval(args):
     lam = state.meta.get("lambda", cfg.lambdas[0])
     seed = state.meta.get("seed", cfg.seeds[0])
     rows = evaluate(state, main_test, anomaly_test, lam, seed).rows()
-    out = getattr(args, "out", None) or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, "eval_metrics.csv")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    csv_path = os.path.join(cfg.output_dir, "eval_metrics.csv")
     write_metrics_csv(rows, csv_path)
     for row in rows:
         auc = "" if row["auc"] is None else f" auc={row['auc']:.4f}"
@@ -110,12 +116,11 @@ def cmd_eval(args):
 
 def cmd_score(args):
     cfg = _load_config(args.config, args)
-    state = load_model(_archive_path(cfg, args))
+    state = _read(load_model, _archive_path(cfg, args), "model archive")
     if state.detector is None or state.detector.thresholds is None:
         raise ConfigError("archive has no calibrated detector; run calibrate")
-    images = datamod.normalize(datamod.load_idx_file(args.image_file))
-    if images.ndim == 2:
-        images = images[None]
+    images = datamod.normalize(
+        _read(datamod.load_idx_file, args.image_file, "image file"))
     feats, logits = embed(state.backbone, images)
     preds = logits.argmax(axis=1)
     normal = state.detector.is_normal_many(feats)
@@ -132,20 +137,15 @@ def cmd_score(args):
 
 
 def cmd_export_features(args):
-    import csv as csvmod
-
     cfg = _load_config(args.config, args)
-    state = load_model(_archive_path(cfg, args))
+    state = _read(load_model, _archive_path(cfg, args), "model archive")
     _, main_test = _load_source(cfg.main, anomaly=False)
     feats = extract_features(state.backbone, main_test.images)
-    out = getattr(args, "out", None) or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "features.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csvmod.writer(fh)
-        writer.writerow([f"f{i}" for i in range(feats.shape[1])] + ["label"])
-        for row, label in zip(feats, main_test.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    path = os.path.join(cfg.output_dir, "features.csv")
+    write_csv(path, [f"f{i}" for i in range(feats.shape[1])] + ["label"],
+              (row + [label] for row, label in zip(feats.tolist(),
+                                                   main_test.labels.tolist())))
     print(f"wrote {path} ({len(feats)} rows, {feats.shape[1]} dims)")
 
 

@@ -2,6 +2,7 @@
 and a synthetic blob generator used as the default test-scale dataset."""
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -77,7 +78,7 @@ def parse_idx(data: bytes) -> np.ndarray:
     if len(data) < header:
         raise TruncatedPayload("stream shorter than declared header")
     dims = struct.unpack(f">{ndim}I", data[4:header])
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)   # exact: an int64 product can wrap to 0
     payload = data[header:]
     if len(payload) != expected:
         raise TruncatedPayload(f"expected {expected} payload bytes, got {len(payload)}")

@@ -20,6 +20,12 @@ DEFAULT_PERCENTILE = 0.975
 BLOCK_ROWS = 256
 
 
+def _check_rows(xs: np.ndarray, d: int):
+    """xs must be a batch of feature rows: 2-D with d columns."""
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise DimMismatch(f"expected (m, {d}) feature rows, got {xs.shape}")
+
+
 @dataclass
 class ClassStats:
     """Gaussian fit of one class: mean, covariance, the Cholesky
@@ -49,7 +55,7 @@ class ClassStats:
         eps = 1e-6 * float(np.trace(cov)) / d
         try:
             factor = cho_factor(cov + eps * np.eye(d), lower=True)
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:   # ValueError: NaN or inf
             raise FactorizationFailure(str(exc)) from exc
         # LAPACK's triangular inverse: solve_triangular against the
         # identity took ~7 ms per class right after a numpy GEMM (scipy's
@@ -65,8 +71,7 @@ class ClassStats:
     def mahalanobis_many(self, xs: np.ndarray) -> np.ndarray:
         """Reference path: one triangular solve pair per call."""
         xs = np.asarray(xs, dtype=np.float64)
-        if xs.shape[1] != len(self.mean):
-            raise DimMismatch(f"dim {xs.shape[1]} vs {len(self.mean)}")
+        _check_rows(xs, len(self.mean))
         delta = xs - self.mean
         z = cho_solve(self._factor, delta.T)
         # clip tiny negative round-off before the root
@@ -125,8 +130,7 @@ class DetectorModel:
         """(M, n_classes) distance matrix, one GEMM per block of rows."""
         xs = np.asarray(xs)
         n, d = self.n_classes, self._maps.shape[0]
-        if xs.shape[1] != d:
-            raise DimMismatch(f"dim {xs.shape[1]} vs {d}")
+        _check_rows(xs, d)
         if not np.isfinite(xs).all():
             raise NonFiniteFeature("feature holds NaN or inf")
         out = np.empty((len(xs), n))

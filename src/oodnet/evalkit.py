@@ -1,5 +1,5 @@
 """Metrics: confusion counts, F1, ROC/AUC sweeps, 2-D PCA projection,
-and the CSV emitters used by the experiment runner."""
+and the one CSV writer behind every CSV the toolkit emits."""
 from __future__ import annotations
 
 import csv
@@ -25,7 +25,7 @@ def _f1_for_class(counts: np.ndarray, j: int) -> float:
     fn = counts[j, :].sum() - tp
     if 2 * tp + fp + fn == 0:
         return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
+    return float(2 * tp / (2 * tp + fp + fn))
 
 
 def f1(counts: np.ndarray, mode: str = "macro", positive: int = 1) -> float:
@@ -131,29 +131,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(rows: list[dict], path):
+def write_csv(path, columns, rows):
+    """A header line of columns, then one line per row of cells: '' for
+    None, the round-trip repr of a float, str of anything else. Pass
+    Python floats: a numpy float's repr names its type."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in METRICS_COLUMNS])
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def write_metrics_csv(rows: list[dict], path):
+    write_csv(path, METRICS_COLUMNS,
+              ([row.get(col) for col in METRICS_COLUMNS] for row in rows))
 
 
 def write_roc_csv(curve: RocCurve, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for fpr, tpr, thr in curve.points:
-            writer.writerow([_fmt(float(fpr)), _fmt(float(tpr)), _fmt(float(thr))])
+    write_csv(path, ["fpr", "tpr", "threshold"], curve.points.tolist())
 
 
 def write_projection_csv(proj: np.ndarray, labels, is_ood, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "label", "is_ood"])
-        for (x, y), label, flag in zip(proj, labels, is_ood):
-            writer.writerow([_fmt(float(x)), _fmt(float(y)),
-                             int(label), int(flag)])
+    write_csv(path, ["x", "y", "label", "is_ood"],
+              ((x, y, int(label), int(flag))
+               for (x, y), label, flag in zip(proj.tolist(), labels, is_ood)))
 
 
 def write_median_csv(rows: list[dict], path):
@@ -161,12 +161,9 @@ def write_median_csv(rows: list[dict], path):
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault((row["lambda"], row["method"]), []).append(row)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "method", "f1_median", "auc_median"])
-        for (lam, method), cells in sorted(groups.items(),
-                                           key=lambda kv: (kv[0][0], kv[0][1])):
-            f1s = median(c["f1"] for c in cells)
-            aucs = [c["auc"] for c in cells if c["auc"] is not None]
-            writer.writerow([repr(lam), method, repr(f1s),
-                             repr(median(aucs)) if aucs else ""])
+    out = []
+    for (lam, method), cells in sorted(groups.items(), key=lambda kv: kv[0]):
+        aucs = [c["auc"] for c in cells if c["auc"] is not None]
+        out.append((lam, method, median(c["f1"] for c in cells),
+                    median(aucs) if aucs else None))
+    write_csv(path, ["lambda", "method", "f1_median", "auc_median"], out)

@@ -3,15 +3,16 @@
 over balancing coefficients and seeds."""
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import data as datamod
 from .archive import ModelState, save_model
 from .centerloss import Centers
-from .detector import DetectorModel, fit_stats
+from .detector import DEFAULT_PERCENTILE, DetectorModel, fit_stats
 from .errors import ConfigError
 from .evalkit import (confusion, f1, pca2, roc, write_median_csv,
                       write_metrics_csv, write_projection_csv, write_roc_csv)
@@ -23,22 +24,60 @@ from .nn import Backbone, TrainConfig, embed, extract_features, train
 
 _TOP_KEYS = {"output_dir", "seeds", "lambdas", "percentile", "tau",
              "train", "head_train", "data"}
-_TRAIN_KEYS = {"learning_rate", "batch_size", "epochs", "momentum",
-               "center_rate"}
-_HEAD_KEYS = {"learning_rate", "batch_size", "epochs", "momentum"}
+# every training field but the per-cell ones, which the sweep sets
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed", "lam"}
+_HEAD_KEYS = {f.name for f in fields(HeadTrainConfig)} - {"seed"}
 _DATA_KEYS = {"main", "anomaly"}
 _SOURCE_KEYS = {"idx", "synthetic", "keep_classes", "relabel"}
-_IDX_KEYS = {"train_images", "train_labels", "test_images", "test_labels"}
-_SYNTH_KEYS = {"n_classes", "per_class_train", "per_class_test", "side",
-               "separation", "seed", "layout_seed"}
+_IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
+# synthetic source key -> (default, least value); the default's type is
+# the key's kind
+_SYNTH = {"n_classes": (3, 2), "per_class_train": (150, 1),
+          "per_class_test": (50, 1), "side": (12, 1), "separation": (3.0, None),
+          "seed": (0, 0), "layout_seed": (0, 0)}
 
 
-def _require_keys(obj: dict, allowed: set, where: str):
+def _require_keys(obj: dict, allowed, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _number(value, where: str, integer: bool = False, least=None):
+    """value, which must be a JSON integer (integer on) or finite number,
+    and at least ``least``. A bool is neither."""
+    kinds = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or isinstance(value, float) and not math.isfinite(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where}: expected {kind}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{where}: must be >= {least}, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str, integer: bool = False, least=None) -> list:
+    """A nonempty JSON list of _number values."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: expected a nonempty list, got {value!r}")
+    return [_number(v, f"{where}[{i}]", integer, least)
+            for i, v in enumerate(value)]
+
+
+def _section(cls, raw: dict, keys: set, where: str):
+    """cls built from the JSON object raw. Its keys are among ``keys``,
+    each value has the kind of the field's default, and cls's own range
+    checks run here, at parse time."""
+    _require_keys(raw, keys, where)
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key, value in raw.items():
+        _number(value, f"{where}.{key}", isinstance(defaults[key], int))
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -54,10 +93,10 @@ class RunConfig:
     output_dir: str
     seeds: list[int]
     lambdas: list[float]
-    percentile: float = 0.975
+    percentile: float = DEFAULT_PERCENTILE
     tau: float = 0.5
-    train: dict = field(default_factory=dict)
-    head_train: dict = field(default_factory=dict)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    head_train: HeadTrainConfig = field(default_factory=HeadTrainConfig)
     main: SourceSpec = None
     anomaly: SourceSpec | None = None
 
@@ -67,28 +106,28 @@ class RunConfig:
         for key in ("output_dir", "seeds", "data"):
             if key not in raw:
                 raise ConfigError(f"config: missing required key {key!r}")
-        if not raw["seeds"]:
-            raise ConfigError("config: seeds must be nonempty")
-        lambdas = raw.get("lambdas", [0.0, 0.1, 1.0])
-        if any(l < 0 for l in lambdas):
-            raise ConfigError("config: lambdas must be >= 0")
-        _require_keys(raw.get("train", {}), _TRAIN_KEYS, "train")
-        _require_keys(raw.get("head_train", {}), _HEAD_KEYS, "head_train")
+        if not isinstance(raw["output_dir"], str):
+            raise ConfigError("output_dir: expected a string")
         _require_keys(raw["data"], _DATA_KEYS, "data")
         if "main" not in raw["data"]:
             raise ConfigError("data: missing 'main' source")
-        main = cls._parse_source(raw["data"]["main"], "data.main")
-        anomaly = None
-        if "anomaly" in raw["data"]:
-            anomaly = cls._parse_source(raw["data"]["anomaly"], "data.anomaly")
-        return cls(output_dir=raw["output_dir"],
-                   seeds=[int(s) for s in raw["seeds"]],
-                   lambdas=[float(l) for l in lambdas],
-                   percentile=float(raw.get("percentile", 0.975)),
-                   tau=float(raw.get("tau", 0.5)),
-                   train=dict(raw.get("train", {})),
-                   head_train=dict(raw.get("head_train", {})),
-                   main=main, anomaly=anomaly)
+        cfg = cls(
+            output_dir=raw["output_dir"],
+            seeds=_numbers(raw["seeds"], "seeds", integer=True, least=0),
+            lambdas=[float(l) for l in _numbers(
+                raw.get("lambdas", [0.0, 0.1, 1.0]), "lambdas", least=0)],
+            train=_section(TrainConfig, raw.get("train", {}), _TRAIN_KEYS,
+                           "train"),
+            head_train=_section(HeadTrainConfig, raw.get("head_train", {}),
+                                _HEAD_KEYS, "head_train"),
+            main=cls._parse_source(raw["data"]["main"], "data.main"),
+            anomaly=(cls._parse_source(raw["data"]["anomaly"], "data.anomaly")
+                     if "anomaly" in raw["data"] else None),
+            **{key: float(_number(raw[key], key))
+               for key in ("percentile", "tau") if key in raw})
+        if not 0 < cfg.percentile <= 1:
+            raise ConfigError(f"percentile: must be in (0, 1], got {cfg.percentile}")
+        return cfg
 
     @staticmethod
     def _parse_source(raw: dict, where: str) -> SourceSpec:
@@ -99,41 +138,45 @@ class RunConfig:
             raise ConfigError(f"{where}: exactly one of idx/synthetic required")
         if has_idx:
             _require_keys(raw["idx"], _IDX_KEYS, f"{where}.idx")
-            for key in ("train_images", "train_labels", "test_images",
-                        "test_labels"):
+            for key in _IDX_KEYS:
                 if key not in raw["idx"]:
                     raise ConfigError(f"{where}.idx: missing {key!r}")
-                if not os.path.exists(raw["idx"][key]):
-                    raise ConfigError(
-                        f"{where}.idx.{key}: no such file {raw['idx'][key]!r}")
+                path = raw["idx"][key]
+                if not isinstance(path, str) or not os.path.isfile(path):
+                    raise ConfigError(f"{where}.idx.{key}: no such file {path!r}")
         else:
-            _require_keys(raw["synthetic"], _SYNTH_KEYS, f"{where}.synthetic")
+            _require_keys(raw["synthetic"], _SYNTH, f"{where}.synthetic")
+            for key, value in raw["synthetic"].items():
+                default, least = _SYNTH[key]
+                _number(value, f"{where}.synthetic.{key}",
+                        isinstance(default, int), least)
+        keep = raw.get("keep_classes")
+        if keep is not None:
+            _numbers(keep, f"{where}.keep_classes", integer=True)
+        relabel = raw.get("relabel", False)
+        if not isinstance(relabel, bool):
+            raise ConfigError(f"{where}.relabel: expected true or false, "
+                              f"got {relabel!r}")
         return SourceSpec(idx=raw.get("idx"), synthetic=raw.get("synthetic"),
-                          keep_classes=raw.get("keep_classes"),
-                          relabel=bool(raw.get("relabel", False)))
+                          keep_classes=keep, relabel=relabel)
 
 
 def _load_source(spec: SourceSpec, anomaly: bool):
     """-> (train dataset, test dataset); anomaly sources get anomaly role."""
-    train_role = datamod.ROLE_ANOMALY if anomaly else datamod.ROLE_MAIN_TRAIN
-    test_role = datamod.ROLE_ANOMALY if anomaly else datamod.ROLE_MAIN_TEST
+    roles = ((datamod.ROLE_ANOMALY, datamod.ROLE_ANOMALY) if anomaly
+             else (datamod.ROLE_MAIN_TRAIN, datamod.ROLE_MAIN_TEST))
+    splits = zip(("train", "test"), roles)
     if spec.idx is not None:
-        tr = datamod.load_idx_dataset(spec.idx["train_images"],
-                                      spec.idx["train_labels"], train_role)
-        te = datamod.load_idx_dataset(spec.idx["test_images"],
-                                      spec.idx["test_labels"], test_role)
+        tr, te = (datamod.load_idx_dataset(spec.idx[f"{split}_images"],
+                                           spec.idx[f"{split}_labels"], role)
+                  for split, role in splits)
     else:
-        s = dict(spec.synthetic)
-        tr = datamod.synth_blobs(
-            s.get("n_classes", 3), s.get("per_class_train", 150),
-            side=s.get("side", 12), separation=s.get("separation", 3.0),
-            seed=s.get("seed", 0), role=train_role,
-            layout_seed=s.get("layout_seed", 0))
-        te = datamod.synth_blobs(
-            s.get("n_classes", 3), s.get("per_class_test", 50),
-            side=s.get("side", 12), separation=s.get("separation", 3.0),
-            seed=s.get("seed", 0) + 1, role=test_role,
-            layout_seed=s.get("layout_seed", 0))
+        s = {key: spec.synthetic.get(key, default)
+             for key, (default, _) in _SYNTH.items()}
+        tr, te = (datamod.synth_blobs(
+            s["n_classes"], s[f"per_class_{split}"], side=s["side"],
+            separation=s["separation"], seed=s["seed"] + k, role=role,
+            layout_seed=s["layout_seed"]) for k, (split, role) in enumerate(splits))
     if spec.keep_classes is not None:
         tr = datamod.split_classes(tr, spec.keep_classes, spec.relabel)
         te = datamod.split_classes(te, spec.keep_classes, spec.relabel)
@@ -146,7 +189,7 @@ def _load_source(spec: SourceSpec, anomaly: bool):
 
 def run_stage_one(main_train, lam: float, seed: int, cfg: RunConfig):
     """Train backbone + centroids on the main training split."""
-    tc = TrainConfig(seed=seed, lam=lam, **cfg.train)
+    tc = replace(cfg.train, seed=seed, lam=lam)
     n = main_train.n_classes
     side = main_train.images.shape[1]
     model = Backbone(n, input_side=side, seed=seed)
@@ -169,7 +212,7 @@ def calibrate_on_features(feats, labels, percentile: float) -> DetectorModel:
 
 def run_stage_two(feats_main, feats_anom, seed: int, cfg: RunConfig) -> OodHead:
     """Train the anomaly head on main-train and anomaly-train features."""
-    hc = HeadTrainConfig(seed=seed, **cfg.head_train)
+    hc = replace(cfg.head_train, seed=seed)
     head = OodHead(feats_main.shape[1], seed=seed, tau=cfg.tau)
     train_head_on_features(head, feats_main, feats_anom, hc)
     return head
@@ -249,13 +292,11 @@ def _tag(lam: float, seed: int) -> str:
 def run_experiment(cfg: RunConfig) -> list[CellResult]:
     """Train/calibrate/evaluate every (lambda, seed) cell and write the
     report files (metrics, ROC points, feature projections, archives)."""
+    if cfg.anomaly is None:
+        raise ConfigError("an anomaly source is required for evaluation")
     os.makedirs(cfg.output_dir, exist_ok=True)
     main_train, main_test = _load_source(cfg.main, anomaly=False)
-    anomaly_train = anomaly_test = None
-    if cfg.anomaly is not None:
-        anomaly_train, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
-    if anomaly_test is None:
-        raise ConfigError("an anomaly source is required for evaluation")
+    anomaly_train, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
 
     results = []
     metric_rows = []
@@ -271,7 +312,7 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
             state = ModelState(backbone=model, centers=centers, detector=det,
                                meta={"lambda": lam, "seed": seed,
                                      "trained_on": main_train.role})
-            if anomaly_train is not None and len(anomaly_train):
+            if len(anomaly_train):
                 state.head = run_stage_two(
                     feats_train, embed(model, anomaly_train.images)[0], seed, cfg)
             cell = evaluate_on_features(state, feats_in, logits_in,
@@ -287,8 +328,7 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
                 write_roc_csv(cell.sup_roc,
                               os.path.join(cfg.output_dir, f"roc_sup_{tag}.csv"))
 
-            _, proj, _ = pca2(np.concatenate([feats_in, feats_out]),
-                              centers.values)
+            _, proj, _ = pca2(np.concatenate([feats_in, feats_out]))
             labels = np.concatenate([main_test.labels,
                                      np.full(len(feats_out), -1)])
             flags = np.concatenate([np.zeros(len(feats_in), dtype=int),

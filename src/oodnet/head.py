@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch
-from .nn import SGD, Backbone, Dense, LayerStack, ReLU, extract_features
+from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, check_training_ranges,
+                 extract_features)
 
 BCE_CLAMP = 1e-7
 
@@ -90,6 +91,9 @@ class HeadTrainConfig:
     epochs: int = 20
     momentum: float = 0.9
     seed: int = 0
+
+    def __post_init__(self):
+        check_training_ranges(self)
 
 
 def train_head(model: Backbone, head: OodHead, main_ds, anomaly_ds,

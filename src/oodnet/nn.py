@@ -35,15 +35,21 @@ class TrainConfig:
     lam: float = 0.0            # weight of the centroid-pull term
     center_rate: float = 0.5    # centroid update rate
     momentum: float = 0.9
-    dtype: type = np.float32    # np.float64 for gradient verification
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        check_training_ranges(self)
+
+
+def check_training_ranges(cfg):
+    """The range checks a training config shares with the head's."""
+    if cfg.learning_rate < 0:
+        raise ValueError("learning_rate must be >= 0")
+    if cfg.batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if cfg.epochs < 0:
+        raise ValueError("epochs must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +62,32 @@ class TrainConfig:
 BLOCK = 16
 
 
+class Layer:
+    """A layer without parameters. Each layer class defines its own
+    forward and backward: the benchmark's tracer wraps them per class."""
+    params = ()
+    grads = ()
+
+
+class ParamLayer(Layer):
+    """A layer with a weight W of ``shape`` (He initialisation for
+    ``fan_in`` inputs, drawn from rng), a zero bias of ``n_out`` values,
+    and their gradients dW and db once backward has run."""
+
+    def __init__(self, shape, fan_in, n_out, rng, dtype):
+        self.W = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+        self.b = np.zeros(n_out, dtype=dtype)
+        self.dW = self.db = self._x = None
+
+    @property
+    def params(self):
+        return [self.W, self.b]
+
+    @property
+    def grads(self):
+        return [self.dW, self.db]
+
+
 def _im2col(x, k):
     """(b, C, H, W) -> patch rows (b*Ho*Wo, C*k*k), one row per output pixel,
     in (sample, row, column) order."""
@@ -64,7 +96,7 @@ def _im2col(x, k):
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(b * Ho * Wo, C * k * k)
 
 
-class Conv2D:
+class Conv2D(ParamLayer):
     """5x5 (by default) convolution, stride 1, optional zero padding.
 
     im2col (Chellapilla, Puri & Simard, 2006): each output pixel's patch
@@ -81,24 +113,11 @@ class Conv2D:
     """
 
     def __init__(self, in_ch, out_ch, kernel, pad, rng, dtype, input_grad=True):
-        fan_in = in_ch * kernel * kernel
-        self.W = (rng.standard_normal((out_ch, in_ch, kernel, kernel))
-                  * np.sqrt(2.0 / fan_in)).astype(dtype)
-        self.b = np.zeros(out_ch, dtype=dtype)
+        super().__init__((out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel,
+                         out_ch, rng, dtype)
         self.kernel = kernel
         self.pad = pad
         self.input_grad = input_grad
-        self._x = None
-        self.dW = None
-        self.db = None
-
-    @property
-    def params(self):
-        return [self.W, self.b]
-
-    @property
-    def grads(self):
-        return [self.dW, self.db]
 
     def forward(self, x):
         k, p = self.kernel, self.pad
@@ -141,10 +160,7 @@ class Conv2D:
         return np.ascontiguousarray(dx[:, p:H - p, p:W - p].transpose(3, 0, 1, 2))
 
 
-class ReLU:
-    params = ()
-    grads = ()
-
+class ReLU(Layer):
     def forward(self, x):
         self._mask = x > 0
         return x * self._mask
@@ -153,14 +169,12 @@ class ReLU:
         return grad * self._mask
 
 
-class MaxPool2x2:
+class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2: ``np.maximum`` over the four strided
     views ``x[..., i::2, j::2]``, so each output depends only on its own
     window. Backward routes each window's gradient through the same views
     to the max; on ties the first view in ``VIEWS`` order wins. The other
     slots get a zero with the sign of the gradient."""
-    params = ()
-    grads = ()
 
     VIEWS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -181,10 +195,7 @@ class MaxPool2x2:
         return dx
 
 
-class Flatten:
-    params = ()
-    grads = ()
-
+class Flatten(Layer):
     def forward(self, x):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -193,22 +204,9 @@ class Flatten:
         return grad.reshape(self._shape)
 
 
-class Dense:
+class Dense(ParamLayer):
     def __init__(self, n_in, n_out, rng, dtype):
-        self.W = (rng.standard_normal((n_in, n_out))
-                  * np.sqrt(2.0 / n_in)).astype(dtype)
-        self.b = np.zeros(n_out, dtype=dtype)
-        self._x = None
-        self.dW = None
-        self.db = None
-
-    @property
-    def params(self):
-        return [self.W, self.b]
-
-    @property
-    def grads(self):
-        return [self.dW, self.db]
+        super().__init__((n_in, n_out), n_in, n_out, rng, dtype)
 
     def forward(self, x):
         self._x = x

@@ -1,0 +1,246 @@
+"""Malformed input at the archive and config boundaries ends in a typed
+OodnetError from the library and exit code 1 from the CLI."""
+import csv
+import functools
+import json
+import math
+import struct
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oodnet.archive import load_model, save_model
+from oodnet.cli import main
+from oodnet.errors import ConfigError, CorruptLength, OodnetError, ShapeMismatch
+from oodnet.experiment import RunConfig, run_experiment
+from test_cli import full_state, rewrite_blob, score_probe, synth_config
+
+# ---------------------------------------------------------------------------
+# archive bytes
+
+
+def header_of(data: bytes) -> dict:
+    header_len, = struct.unpack("<Q", data[8:16])
+    return json.loads(data[16:16 + header_len])
+
+
+def with_header(data: bytes, header) -> bytes:
+    """data with its header replaced by header: raw bytes, or a value to
+    encode as JSON."""
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    header_len, = struct.unpack("<Q", data[8:16])
+    return data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len:]
+
+
+def edit_header(edit):
+    """A fault that applies edit to the header object in place."""
+    def fault(path):
+        data = path.read_bytes()
+        header = header_of(data)
+        edit(header)
+        path.write_bytes(with_header(data, header))
+    return fault
+
+
+def replace_header(raw):
+    def fault(path):
+        path.write_bytes(with_header(path.read_bytes(), raw))
+    return fault
+
+
+def cut_detector_to_one_class(path):
+    rewrite_blob(path, "det.thresholds", 1)
+    edit_header(lambda h: h["detector"].update(counts=h["detector"]["counts"][:1]))(path)
+
+
+ARCHIVE_FAULTS = [
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:12]), CorruptLength,
+                 id="shorter-than-16-bytes"),
+    pytest.param(replace_header(b"\xff\xfe{}"), CorruptLength,
+                 id="header-not-utf8"),
+    pytest.param(replace_header(b'{"arch": '), CorruptLength,
+                 id="header-not-json"),
+    pytest.param(replace_header([]), CorruptLength, id="header-is-array"),
+    pytest.param(edit_header(lambda h: h.pop("arch")), CorruptLength,
+                 id="header-without-arch"),
+    pytest.param(edit_header(lambda h: h.pop("blobs")), CorruptLength,
+                 id="header-without-blobs"),
+    pytest.param(edit_header(lambda h: h.update(blobs={"name": "conv1.W"})),
+                 CorruptLength, id="blobs-not-a-list"),
+    pytest.param(edit_header(lambda h: h["arch"].update(n_classes=1)),
+                 CorruptLength, id="one-class"),
+    pytest.param(cut_detector_to_one_class, ShapeMismatch,
+                 id="detector-cut-to-one-class"),
+]
+
+
+class TestArchiveFaults:
+    @pytest.mark.parametrize("fault,error", ARCHIVE_FAULTS)
+    def test_load_model_raises_typed_error(self, tmp_path, fault, error):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        fault(path)
+        with pytest.raises(error):
+            load_model(path)
+
+    @pytest.mark.parametrize("fault,error", ARCHIVE_FAULTS)
+    def test_score_exits_1(self, tmp_path, capsys, fault, error):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        fault(path)
+        assert score_probe(tmp_path, path) == 1
+        assert "error [score]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_missing_model_exits_1(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(synth_config(tmp_path)))
+        argv = [command, "--config", str(cfg_path),
+                "--model", str(tmp_path / "missing.oodn")]
+        if command == "score":
+            argv.append(str(tmp_path / "probe.idx"))
+        assert main(argv) == 1
+        assert f"error [{command}]" in capsys.readouterr().err
+
+
+@functools.lru_cache(maxsize=None)
+def archive_bytes(tmp_dir) -> bytes:
+    path = tmp_dir / "valid.oodn"
+    save_model(path, full_state())
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edited_archive_loads_or_raises_typed_error(tmp_path_factory, data):
+    """Any truncation or single-byte edit of a valid archive loads or
+    raises an OodnetError. Half the edits land in the header."""
+    tmp_dir = tmp_path_factory.getbasetemp()
+    valid = archive_bytes(tmp_dir)
+    header_end = 16 + struct.unpack("<Q", valid[8:16])[0]
+    if data.draw(st.booleans(), label="truncate"):
+        edited = valid[:data.draw(st.integers(0, len(valid) - 1), label="cut")]
+    else:
+        at = data.draw(st.integers(0, header_end - 1)
+                       | st.integers(0, len(valid) - 1), label="at")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != valid[at]),
+                         label="byte")
+        edited = valid[:at] + bytes([byte]) + valid[at + 1:]
+    path = tmp_dir / "edited.oodn"
+    path.write_bytes(edited)
+    try:
+        load_model(path)
+    except OodnetError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# config
+
+
+def set_key(raw: dict, dotted: str, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        raw = raw[key]
+    raw[last] = value
+
+
+CONFIG_FAULTS = [
+    ("lambdas", ["0.1"]),
+    ("seeds", ["0"]),
+    ("tau", "0.5"),
+    ("seeds", 3),
+    ("percentile", 2.0),
+    ("train.batch_size", 0),
+    ("train.epochs", "3"),
+    ("head_train.epochs", -1),
+    ("data.main.relabel", "no"),
+]
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize("key,value", CONFIG_FAULTS)
+    def test_from_dict_raises_config_error(self, tmp_path, key, value):
+        raw = synth_config(tmp_path)
+        set_key(raw, key, value)
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_dict(raw)
+        assert all(part in str(info.value) for part in key.split("."))
+
+    @pytest.mark.parametrize("key,value", CONFIG_FAULTS)
+    def test_train_exits_1(self, tmp_path, capsys, key, value):
+        raw = synth_config(tmp_path)
+        set_key(raw, key, value)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "error [train]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [["--lambda", "-1"], ["--seed", "-1"],
+                                          ["--lambda", "nan"]])
+    def test_overrides_are_checked_like_the_file(self, tmp_path, capsys,
+                                                 override):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(synth_config(tmp_path)))
+        assert main(["train", "--config", str(cfg_path), *override]) == 1
+        assert "error [train]" in capsys.readouterr().err
+
+
+def leaves(obj, prefix=""):
+    """Dotted paths of every value in a JSON object that is not an object."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edited_config_parses_or_raises_config_error(data):
+    """Any JSON value in place of any value of a valid config parses or
+    raises ConfigError."""
+    raw = synth_config(Path("unused"))
+    key = data.draw(st.sampled_from(sorted(leaves(raw))), label="key")
+    set_key(raw, key, data.draw(JSON_VALUES, label="value"))
+    try:
+        RunConfig.from_dict(raw)
+    except ConfigError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# metrics CSVs
+
+
+def test_metric_cells_are_plain_numbers(tmp_path):
+    """Every f1 and auc cell of the sweep's and eval's metrics files is
+    empty or a float literal, at lambda 0 and 1."""
+    raw = synth_config(tmp_path, lambdas=(0.0, 1.0), epochs=1)
+    run_experiment(RunConfig.from_dict(raw))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["eval", "--config", str(cfg_path),
+                 "--model", str(out / "model_lam1_seed0.oodn"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    files = [out / "metrics.csv", out / "metrics_median.csv",
+             tmp_path / "eval" / "eval_metrics.csv"]
+    for path in files:
+        rows = list(csv.DictReader(path.open()))
+        assert rows
+        for row in rows:
+            for column, cell in row.items():
+                if column.startswith(("f1", "auc")) and cell:
+                    assert math.isfinite(float(cell)), (path.name, cell)

@@ -2,11 +2,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import nearest_mean_accuracy
 from oodnet import (LabeledDataset, make_batches, normalize, parse_idx,
                     serialize_idx, split_classes, synth_blobs)
-from oodnet.errors import EmptySplit, TruncatedPayload, UnsupportedMagic
+from oodnet.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from oodnet.errors import (EmptySplit, OodnetError, TruncatedPayload,
+                           UnsupportedMagic)
 
 
 def make_ds(labels, side=4, role="main-train"):
@@ -33,6 +37,20 @@ class TestParseIdx:
     def test_truncated_payload(self):
         with pytest.raises(TruncatedPayload):
             parse_idx(struct.pack(">IIII", 0x803, 2, 28, 28) + bytes(100))
+
+    @given(st.binary(max_size=40) | st.builds(
+        lambda magic, dims, payload: struct.pack(">I", magic) + dims + payload,
+        st.sampled_from([IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC]),
+        st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 4), max_size=4)
+        .map(lambda dims: struct.pack(f">{len(dims)}I", *dims)),
+        st.binary(max_size=40)))
+    # dims whose product is 2**64: an int64 product wraps to 0
+    @example(struct.pack(">4I", IDX_IMAGES_MAGIC, 2**31, 2**31, 4))
+    def test_any_bytes_parse_or_raise_typed_error(self, raw):
+        try:
+            parse_idx(raw)
+        except OodnetError:
+            pass
 
     @pytest.mark.parametrize("array", [
         np.arange(10, dtype=np.uint8),

@@ -256,6 +256,19 @@ class TestDistanceKernel:
         with pytest.raises(DimMismatch):
             det.distances_many(xs[:, :83])
 
+    @pytest.mark.parametrize("call", [
+        lambda det, x: det.distances_many(x),
+        lambda det, x: det.is_normal_many(x),
+        lambda det, x: det.anomaly_score_many(x),
+        lambda det, x: det.stats[0].mahalanobis_many(x),
+    ], ids=["distances_many", "is_normal_many", "anomaly_score_many",
+            "mahalanobis_many"])
+    @pytest.mark.parametrize("shape", [(84,), (), (2, 84, 1)])
+    def test_batch_calls_want_2d_rows(self, calibrated, call, shape):
+        det, _ = calibrated
+        with pytest.raises(DimMismatch):
+            call(det, np.zeros(shape))
+
     def test_snap32_and_archive_round_trip_bit_identical(self, calibrated,
                                                           tmp_path):
         det, xs = calibrated
