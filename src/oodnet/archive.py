@@ -102,7 +102,7 @@ def _field(obj, key: str, kind: type, where: str = "header"):
 
 def _decode(data: bytes) -> tuple[dict, dict]:
     """-> (header, named blobs) of archive bytes; the framing, the header
-    JSON and its blob table are checked."""
+    JSON and its blob table are checked, and every blob value is finite."""
     if data[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, got {data[:4]!r}")
     if len(data) < 16:
@@ -127,6 +127,8 @@ def _decode(data: bytes) -> tuple[dict, dict]:
         if end > len(data):
             raise CorruptLength(f"blob {name} truncated")
         blobs[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape)
+        if not np.isfinite(blobs[name]).all():
+            raise CorruptLength(f"blob {name} holds NaN or inf")
         offset = end
     if offset != len(data):
         raise CorruptLength("trailing bytes after final blob")
@@ -169,8 +171,6 @@ def load_model(path) -> ModelState:
         if _field(det_hdr, "calibrated", bool, "detector"):
             det.thresholds = checked_blob(blobs, "det.thresholds",
                                           (n,)).astype(np.float64)
-            if not np.isfinite(det.thresholds).all():
-                raise CorruptLength("det.thresholds holds NaN or inf")
         state.detector = det
     if _field(header, "has_head", bool):
         head = OodHead(d, tau=_field(header, "head_tau", float))

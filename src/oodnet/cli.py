@@ -1,8 +1,10 @@
 """Command-line surface: staged commands plus the full experiment sweep.
 
 Every command reads a JSON config (--config) and accepts targeted
-overrides (--lambda, --seed, --out). Exit code 0 on success; errors are
-reported with the failing stage and exit nonzero.
+overrides (--lambda, --seed, --out); every command but run-experiment
+also takes a model archive path (--model). ``main`` is the one error
+boundary: a bad config or archive, or any file a command cannot read or
+write, is reported as ``error [<command>]: ...`` with exit code 1.
 """
 from __future__ import annotations
 
@@ -21,20 +23,10 @@ from .experiment import (RunConfig, _load_source, _tag, evaluate,
 from .nn import embed, extract_features
 
 
-def _read(load, path, what):
-    """load(path); a path that cannot be read is a ConfigError."""
+def _load_config(args) -> RunConfig:
     try:
-        return load(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from exc
-
-
-def _load_config(path, args) -> RunConfig:
-    try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
     except ValueError as exc:   # not UTF-8, or not JSON
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if isinstance(raw, dict):   # the overrides are checked like the file
@@ -53,8 +45,15 @@ def _archive_path(cfg: RunConfig, args) -> str:
                         f"model_{_tag(cfg.lambdas[0], cfg.seeds[0])}.oodn")
 
 
-def cmd_train(args):
-    cfg = _load_config(args.config, args)
+def _load_calibrated(cfg: RunConfig, args) -> ModelState:
+    """The archive's state, which must hold a calibrated detector."""
+    state = load_model(_archive_path(cfg, args))
+    if state.detector is None or state.detector.thresholds is None:
+        raise ConfigError("archive has no calibrated detector; run calibrate")
+    return state
+
+
+def cmd_train(cfg: RunConfig, args):
     os.makedirs(cfg.output_dir, exist_ok=True)
     main_train, _ = _load_source(cfg.main, anomaly=False)
     lam, seed = cfg.lambdas[0], cfg.seeds[0]
@@ -68,10 +67,9 @@ def cmd_train(args):
     print(f"saved {path}")
 
 
-def cmd_calibrate(args):
-    cfg = _load_config(args.config, args)
+def cmd_calibrate(cfg: RunConfig, args):
     path = _archive_path(cfg, args)
-    state = _read(load_model, path, "model archive")
+    state = load_model(path)
     main_train, _ = _load_source(cfg.main, anomaly=False)
     state.detector = run_calibration(state.backbone, main_train, cfg.percentile)
     save_model(path, state)
@@ -79,14 +77,11 @@ def cmd_calibrate(args):
           f"(q={cfg.percentile}); updated {path}")
 
 
-def cmd_train_head(args):
-    cfg = _load_config(args.config, args)
-    if cfg.anomaly is None:
-        raise ConfigError("train-head requires an anomaly data source")
-    path = _archive_path(cfg, args)
-    state = _read(load_model, path, "model archive")
-    main_train, _ = _load_source(cfg.main, anomaly=False)
+def cmd_train_head(cfg: RunConfig, args):
     anomaly_train, _ = _load_source(cfg.anomaly, anomaly=True)
+    path = _archive_path(cfg, args)
+    state = load_model(path)
+    main_train, _ = _load_source(cfg.main, anomaly=False)
     model = state.backbone
     state.head = run_stage_two(extract_features(model, main_train.images),
                                extract_features(model, anomaly_train.images),
@@ -95,13 +90,10 @@ def cmd_train_head(args):
     print(f"trained anomaly head; updated {path}")
 
 
-def cmd_eval(args):
-    cfg = _load_config(args.config, args)
-    state = _read(load_model, _archive_path(cfg, args), "model archive")
-    _, main_test = _load_source(cfg.main, anomaly=False)
-    if cfg.anomaly is None:
-        raise ConfigError("eval requires an anomaly data source")
+def cmd_eval(cfg: RunConfig, args):
     _, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
+    state = _load_calibrated(cfg, args)
+    _, main_test = _load_source(cfg.main, anomaly=False)
     lam = state.meta.get("lambda", cfg.lambdas[0])
     seed = state.meta.get("seed", cfg.seeds[0])
     rows = evaluate(state, main_test, anomaly_test, lam, seed).rows()
@@ -114,13 +106,9 @@ def cmd_eval(args):
     print(f"wrote {csv_path}")
 
 
-def cmd_score(args):
-    cfg = _load_config(args.config, args)
-    state = _read(load_model, _archive_path(cfg, args), "model archive")
-    if state.detector is None or state.detector.thresholds is None:
-        raise ConfigError("archive has no calibrated detector; run calibrate")
-    images = datamod.normalize(
-        _read(datamod.load_idx_file, args.image_file, "image file"))
+def cmd_score(cfg: RunConfig, args):
+    state = _load_calibrated(cfg, args)
+    images = datamod.normalize(datamod.load_idx_file(args.image_file))
     feats, logits = embed(state.backbone, images)
     preds = logits.argmax(axis=1)
     normal = state.detector.is_normal_many(feats)
@@ -131,14 +119,13 @@ def cmd_score(args):
         line = f"{i}: class={cls} verdict={verdict} min_distance={s:.4f}"
         if head_p is not None:
             p = head_p[i]
-            hv = "normal" if p >= state.head.tau else "ood"
+            hv = "normal" if state.head.accepts(p) else "ood"
             line += f" head_p={p:.4f} head_verdict={hv}"
         print(line)
 
 
-def cmd_export_features(args):
-    cfg = _load_config(args.config, args)
-    state = _read(load_model, _archive_path(cfg, args), "model archive")
+def cmd_export_features(cfg: RunConfig, args):
+    state = load_model(_archive_path(cfg, args))
     _, main_test = _load_source(cfg.main, anomaly=False)
     feats = extract_features(state.backbone, main_test.images)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -149,8 +136,7 @@ def cmd_export_features(args):
     print(f"wrote {path} ({len(feats)} rows, {feats.shape[1]} dims)")
 
 
-def cmd_run_experiment(args):
-    cfg = _load_config(args.config, args)
+def cmd_run_experiment(cfg: RunConfig, args):
     results = run_experiment(cfg)
     for cell in results:
         sup = "" if cell.sup_f1 is None else \
@@ -167,14 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Image classification with built-in anomaly detection")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, extra=None):
+    def add(name, fn, help_, extra=None, model=True):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="override the balancing coefficient")
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--model", default=None, help="model archive path")
+        if model:
+            p.add_argument("--model", default=None, help="model archive path")
         if extra:
             extra(p)
         p.set_defaults(fn=fn)
@@ -189,15 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("export-features", cmd_export_features,
         "dump deep features of the main test split to CSV")
     add("run-experiment", cmd_run_experiment,
-        "full sweep over lambdas and seeds")
+        "full sweep over lambdas and seeds", model=False)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
-    except OodnetError as exc:
+        args.fn(_load_config(args), args)
+    except (OodnetError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
     return 0

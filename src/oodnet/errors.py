@@ -52,7 +52,7 @@ class NotCalibrated(OodnetError):
 
 
 class NonFiniteFeature(OodnetError):
-    """A feature handed to the detector holds NaN or inf."""
+    """A feature handed to the detector or the head holds NaN or inf."""
 
 
 # --- head ---

@@ -161,8 +161,11 @@ class RunConfig:
                           keep_classes=keep, relabel=relabel)
 
 
-def _load_source(spec: SourceSpec, anomaly: bool):
-    """-> (train dataset, test dataset); anomaly sources get anomaly role."""
+def _load_source(spec: SourceSpec | None, anomaly: bool):
+    """-> (train dataset, test dataset); anomaly sources get anomaly role.
+    No source (a config without data.anomaly) is a ConfigError."""
+    if spec is None:
+        raise ConfigError("data: missing 'anomaly' source")
     roles = ((datamod.ROLE_ANOMALY, datamod.ROLE_ANOMALY) if anomaly
              else (datamod.ROLE_MAIN_TRAIN, datamod.ROLE_MAIN_TEST))
     splits = zip(("train", "test"), roles)
@@ -273,7 +276,7 @@ def evaluate_on_features(state: ModelState, feats_in, logits_in, labels_in,
                         semi_roc=semi_roc)
     if state.head is not None:
         p = state.head.forward_many(feats_all)
-        sup_pred = (p < state.head.tau).astype(int)   # p >= tau -> normal
+        sup_pred = (~state.head.accepts(p)).astype(int)
         sup_counts = confusion(is_ood.astype(int), sup_pred, 2)
         result.sup_f1 = f1(sup_counts, "binary-positive", positive=1)
         result.sup_roc = roc(p, is_ood, higher_is_anomalous=False)
@@ -292,11 +295,9 @@ def _tag(lam: float, seed: int) -> str:
 def run_experiment(cfg: RunConfig) -> list[CellResult]:
     """Train/calibrate/evaluate every (lambda, seed) cell and write the
     report files (metrics, ROC points, feature projections, archives)."""
-    if cfg.anomaly is None:
-        raise ConfigError("an anomaly source is required for evaluation")
+    anomaly_train, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
     os.makedirs(cfg.output_dir, exist_ok=True)
     main_train, main_test = _load_source(cfg.main, anomaly=False)
-    anomaly_train, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
 
     results = []
     metric_rows = []

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch
-from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, check_training_ranges,
+from .errors import DimMismatch, NonFiniteFeature
+from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig,
                  extract_features)
 
 BCE_CLAMP = 1e-7
@@ -38,9 +38,15 @@ class OodHead(LayerStack):
         if features.ndim != 2 or features.shape[1] != self.in_dim:
             raise DimMismatch(f"expected (m, {self.in_dim}), got {features.shape}")
         h = np.asarray(features, dtype=self.dtype)
+        if not np.isfinite(h).all():
+            raise NonFiniteFeature("feature holds NaN or inf")
         for layer in self.layers:
             h = layer.forward(h)
         return _sigmoid(h[:, 0])
+
+    def accepts(self, p, tau: float | None = None):
+        """p >= tau, inclusive (a normal verdict), for a scalar or array p."""
+        return p >= (self.tau if tau is None else tau)
 
     def backward(self, dlogit: np.ndarray):
         """Backprop from the pre-sigmoid logit gradient (m,)."""
@@ -78,22 +84,13 @@ def bce_many(p: np.ndarray, y: np.ndarray) -> float:
 
 def classify_ood(head: OodHead, feature: np.ndarray,
                  tau: float | None = None) -> str:
-    """'normal' when p >= tau (inclusive), else 'ood'."""
-    tau = head.tau if tau is None else tau
-    p = head_forward(head, feature)
-    return "normal" if p >= tau else "ood"
+    """'normal' when the head accepts the feature's p at tau, else 'ood'."""
+    return "normal" if head.accepts(head_forward(head, feature), tau) else "ood"
 
 
 @dataclass
-class HeadTrainConfig:
-    learning_rate: float = 0.01
-    batch_size: int = 64
+class HeadTrainConfig(SGDConfig):
     epochs: int = 20
-    momentum: float = 0.9
-    seed: int = 0
-
-    def __post_init__(self):
-        check_training_ranges(self)
 
 
 def train_head(model: Backbone, head: OodHead, main_ds, anomaly_ds,

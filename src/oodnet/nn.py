@@ -27,29 +27,33 @@ from .errors import EmptyDataset, LabelOutOfRange, NonFiniteLoss, ShapeMismatch
 
 
 @dataclass
-class TrainConfig:
+class SGDConfig:
+    """Mini-batch momentum SGD settings and their range checks, shared by
+    stage-one training and the head's."""
     learning_rate: float = 0.01
     batch_size: int = 64
     epochs: int = 3
     seed: int = 0
+    momentum: float = 0.9
+
+    def __post_init__(self):
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+
+
+@dataclass
+class TrainConfig(SGDConfig):
     lam: float = 0.0            # weight of the centroid-pull term
     center_rate: float = 0.5    # centroid update rate
-    momentum: float = 0.9
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        check_training_ranges(self)
-
-
-def check_training_ranges(cfg):
-    """The range checks a training config shares with the head's."""
-    if cfg.learning_rate < 0:
-        raise ValueError("learning_rate must be >= 0")
-    if cfg.batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if cfg.epochs < 0:
-        raise ValueError("epochs must be >= 0")
+        super().__post_init__()
 
 
 # ---------------------------------------------------------------------------

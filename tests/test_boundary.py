@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodnet.archive import load_model, save_model
+from oodnet.archive import ModelState, load_model, save_model
+from oodnet.detector import DetectorModel
 from oodnet.cli import main
 from oodnet.errors import ConfigError, CorruptLength, OodnetError, ShapeMismatch
 from oodnet.experiment import RunConfig, run_experiment
@@ -134,6 +135,41 @@ def test_edited_archive_loads_or_raises_typed_error(tmp_path_factory, data):
         load_model(path)
     except OodnetError:
         pass
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(centers=st.booleans(),
+       detector=st.sampled_from([None, "uncalibrated", "calibrated"]),
+       head=st.booleans(),
+       meta=st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3))
+def test_partial_state_round_trips(tmp_path_factory, centers, detector, head,
+                                   meta):
+    """save -> load -> save of any mix of parts gives the same bytes, and
+    the loaded state holds exactly the parts that were saved."""
+    full = full_state()
+    det = full.detector
+    if detector == "uncalibrated":
+        det = DetectorModel(det.stats, det.percentile)
+    state = ModelState(backbone=full.backbone,
+                       centers=full.centers if centers else None,
+                       detector=det if detector else None,
+                       head=full.head if head else None, meta=meta)
+    first = tmp_path_factory.getbasetemp() / "first.oodn"
+    again = tmp_path_factory.getbasetemp() / "again.oodn"
+    save_model(first, state)
+    loaded = load_model(first)
+    save_model(again, loaded)
+    assert first.read_bytes() == again.read_bytes()
+    assert (loaded.centers is None) == (not centers)
+    assert (loaded.head is None) == (not head)
+    assert (loaded.detector is None) == (detector is None)
+    if detector:
+        assert (loaded.detector.thresholds is None) == (detector == "uncalibrated")
+    assert loaded.meta == meta
 
 
 # ---------------------------------------------------------------------------

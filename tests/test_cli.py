@@ -52,6 +52,12 @@ def synth_config(tmp_path, seeds=(0,), lambdas=(0.0,), epochs=3):
     }
 
 
+def write_config(tmp_path, raw) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
 class TestArchive:
     def test_round_trip_bit_identical(self, tmp_path):
         state = full_state()
@@ -182,6 +188,42 @@ class TestNonFiniteFeature:
         state.backbone.state()["fc2.b"][:] = np.nan
         path = tmp_path / "m.oodn"
         save_model(path, state)
+        assert score_probe(tmp_path, path) == 1
+        assert "error [score]" in capsys.readouterr().err
+
+
+def poison_blob(path, name, value):
+    """Overwrite the first value of blob ``name`` of an archive in place."""
+    data = bytearray(path.read_bytes())
+    header_len, = struct.unpack("<Q", data[8:16])
+    offset = 16 + header_len
+    for entry in json.loads(data[16:16 + header_len])["blobs"]:
+        if entry["name"] == name:
+            data[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
+            break
+        offset += 4 * int(np.prod(entry["shape"]))
+    path.write_bytes(bytes(data))
+
+
+NON_FINITE_BLOBS = [(name, value)
+                    for name in ("head1.b", "centers", "det.mean.0", "conv1.W")
+                    for value in (np.nan, np.inf)]
+
+
+class TestNonFiniteParameter:
+    @pytest.mark.parametrize("name,value", NON_FINITE_BLOBS)
+    def test_load_model_raises_corrupt_length(self, tmp_path, name, value):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        poison_blob(path, name, value)
+        with pytest.raises(CorruptLength, match=name):
+            load_model(path)
+
+    @pytest.mark.parametrize("name,value", NON_FINITE_BLOBS)
+    def test_score_exits_1(self, tmp_path, capsys, name, value):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        poison_blob(path, name, value)
         assert score_probe(tmp_path, path) == 1
         assert "error [score]" in capsys.readouterr().err
 
@@ -321,13 +363,8 @@ class TestDetectEndToEnd:
 
 
 class TestCliCommands:
-    def write_config(self, tmp_path, raw):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        return str(path)
-
     def test_staged_pipeline(self, tmp_path, capsys):
-        cfg_path = self.write_config(tmp_path, synth_config(tmp_path, epochs=2))
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=2))
         assert main(["train", "--config", cfg_path]) == 0
         assert main(["calibrate", "--config", cfg_path]) == 0
         assert main(["train-head", "--config", cfg_path]) == 0
@@ -337,7 +374,7 @@ class TestCliCommands:
         assert (tmp_path / "out" / "eval_metrics.csv").exists()
 
     def test_score_command(self, tmp_path, capsys):
-        cfg_path = self.write_config(tmp_path, synth_config(tmp_path, epochs=2))
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=2))
         main(["train", "--config", cfg_path])
         main(["calibrate", "--config", cfg_path])
         ds = synth_blobs(2, 2, side=12, separation=3.5, seed=11)
@@ -349,14 +386,14 @@ class TestCliCommands:
         assert "verdict=" in out
 
     def test_export_features(self, tmp_path, capsys):
-        cfg_path = self.write_config(tmp_path, synth_config(tmp_path, epochs=2))
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=2))
         main(["train", "--config", cfg_path])
         assert main(["export-features", "--config", cfg_path]) == 0
         header = (tmp_path / "out" / "features.csv").read_text().splitlines()[0]
         assert header.startswith("f0,") and header.endswith(",label")
 
     def test_run_experiment_command(self, tmp_path):
-        cfg_path = self.write_config(tmp_path, synth_config(tmp_path, epochs=2))
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=2))
         assert main(["run-experiment", "--config", cfg_path]) == 0
         assert (tmp_path / "out" / "metrics.csv").exists()
         assert (tmp_path / "out" / "metrics_median.csv").exists()
@@ -364,12 +401,95 @@ class TestCliCommands:
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         raw = synth_config(tmp_path)
         raw["bogus"] = True
-        cfg_path = self.write_config(tmp_path, raw)
+        cfg_path = write_config(tmp_path, raw)
         assert main(["train", "--config", cfg_path]) == 1
         assert "error [train]" in capsys.readouterr().err
 
     def test_lambda_seed_overrides(self, tmp_path):
-        cfg_path = self.write_config(tmp_path, synth_config(tmp_path, epochs=1))
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=1))
         assert main(["train", "--config", cfg_path,
                      "--lambda", "0.5", "--seed", "3"]) == 0
         assert (tmp_path / "out" / "model_lam0.5_seed3.oodn").exists()
+
+
+class TestUncalibratedArchive:
+    def test_eval_and_score_exit_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=1))
+        assert main(["train", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path]) == 1
+        assert "error [eval]" in capsys.readouterr().err
+        assert score_probe(tmp_path,
+                           tmp_path / "out" / "model_lam0_seed0.oodn") == 1
+        assert "error [score]" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """(config path, archive path) of a one-cell run-experiment sweep."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    cfg_path = write_config(tmp, synth_config(tmp, epochs=1))
+    assert main(["run-experiment", "--config", cfg_path]) == 0
+    return cfg_path, str(tmp / "out" / "model_lam0_seed0.oodn")
+
+
+class TestUnwritableOutput:
+    """Every path below a regular file fails to be made or written, and
+    each command reports it as its own error with exit code 1."""
+
+    def afile(self, tmp_path) -> str:
+        path = tmp_path / "afile"
+        path.write_text("")
+        return str(path)
+
+    def assert_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert f"error [{argv[0]}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,below", [("--out", "sub"),
+                                            ("--model", "x.oodn")])
+    def test_train(self, tmp_path, capsys, flag, below):
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=1))
+        self.assert_exits_1(capsys, ["train", "--config", cfg_path, flag,
+                                     os.path.join(self.afile(tmp_path), below)])
+
+    def test_run_experiment(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=1))
+        self.assert_exits_1(capsys, [
+            "run-experiment", "--config", cfg_path,
+            "--out", os.path.join(self.afile(tmp_path), "sub")])
+
+    @pytest.mark.parametrize("command", ["eval", "export-features"])
+    def test_archive_commands(self, tmp_path, capsys, sweep, command):
+        cfg_path, archive = sweep
+        self.assert_exits_1(capsys, [
+            command, "--config", cfg_path, "--model", archive,
+            "--out", os.path.join(self.afile(tmp_path), "sub")])
+
+
+class TestNoAnomalySource:
+    def config(self, tmp_path) -> dict:
+        raw = synth_config(tmp_path, epochs=1)
+        del raw["data"]["anomaly"]
+        return raw
+
+    @pytest.mark.parametrize("command", ["train-head", "eval",
+                                         "run-experiment"])
+    def test_exits_1_before_any_output(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, self.config(tmp_path))
+        assert main([command, "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert f"error [{command}]" in err and "anomaly" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_experiment_raises_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="anomaly"):
+            run_experiment(RunConfig.from_dict(self.config(tmp_path)))
+        assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_takes_no_model(tmp_path):
+    cfg_path = write_config(tmp_path, synth_config(tmp_path))
+    with pytest.raises(SystemExit) as info:
+        main(["run-experiment", "--config", cfg_path, "--model", "x"])
+    assert info.value.code == 2

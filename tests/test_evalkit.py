@@ -102,6 +102,17 @@ class TestRoc:
         assert curve.auc == pytest.approx(concordance_auc(scores, labels),
                                           abs=1e-12)
 
+    @given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=2,
+                    max_size=40).filter(lambda xs: len({y for _, y in xs}) == 2),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_auc_is_concordance_under_ties(self, samples, higher):
+        """Tie-heavy integer scores, both orientations: the AUC is the
+        pairwise concordance with a tie counting one half."""
+        scores, labels = zip(*samples)
+        assert abs(roc(scores, labels, higher_is_anomalous=higher).auc
+                   - concordance_auc(scores, labels, higher)) <= 1e-12
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
         scores = rng.normal(size=25)

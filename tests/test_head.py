@@ -6,9 +6,9 @@ import pytest
 
 from oodnet import (Backbone, OodHead, bce, classify_ood, head_forward,
                     synth_blobs, train_head)
-from oodnet.errors import DimMismatch, EmptyDataset
+from oodnet.errors import DimMismatch, EmptyDataset, NonFiniteFeature
 from oodnet.head import HeadTrainConfig, train_head_on_features
-from oodnet.nn import Dense
+from oodnet.nn import Dense, extract_features
 
 
 def ref_head_forward(head, feature):
@@ -190,3 +190,35 @@ class TestClassifyOod:
     def test_tie_is_normal(self):
         head = self.make_head_with_p(0.5)
         assert classify_ood(head, np.zeros(2), 0.5) == "normal"
+
+    def test_accepts_is_inclusive(self):
+        head = OodHead(2, seed=0, tau=0.5)
+        np.testing.assert_array_equal(head.accepts(np.array([0.4, 0.5, 0.6])),
+                                      [False, True, True])
+        assert head.accepts(0.5) and not head.accepts(0.5, tau=0.6)
+
+
+class TestNonFiniteFeature:
+    @pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+    def test_head_calls_raise(self, pixel):
+        model = Backbone(3, input_side=12, seed=0)
+        head = OodHead(model.feature_dim, seed=0)
+        image = np.zeros((1, 12, 12), dtype=np.float32)
+        image[0, 5, 6] = pixel
+        with np.errstate(invalid="ignore"):
+            feats = extract_features(model, image)
+        assert not np.isfinite(feats).all()
+        for call in (lambda: classify_ood(head, feats[0]),
+                     lambda: head_forward(head, feats[0]),
+                     lambda: head.forward_many(feats)):
+            with pytest.raises(NonFiniteFeature):
+                call()
+
+    def test_training_on_a_nan_row_raises(self):
+        rng = np.random.default_rng(0)
+        main = rng.normal(size=(20, 4)).astype(np.float32)
+        anom = rng.normal(size=(10, 4)).astype(np.float32)
+        anom[3] = np.nan   # every epoch draws all of the smaller source
+        with pytest.raises(NonFiniteFeature):
+            train_head_on_features(OodHead(4, seed=0), main, anom,
+                                   HeadTrainConfig(epochs=1))
