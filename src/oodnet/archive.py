@@ -15,7 +15,8 @@ import numpy as np
 
 from .centerloss import Centers
 from .detector import ClassStats, DetectorModel
-from .errors import BadMagic, CorruptLength, ShapeMismatch, VersionMismatch
+from .errors import (BadMagic, CorruptLength, ShapeMismatch, VersionMismatch,
+                     json_list, json_value, parse_json)
 from .head import OodHead
 from .nn import Backbone, checked_blob
 
@@ -89,15 +90,12 @@ def save_model(path, state: ModelState):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _field(obj, key: str, kind: type, where: str = "header"):
-    """obj[key], which must be a JSON value of ``kind``: float admits an
-    integer, and a bool stands only for bool."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
-        raise CorruptLength(f"{where}.{key}: expected {kind.__name__}, "
-                            f"got {value!r}")
-    return value
+def _field(obj, key: str, kind: type, where: str = "header", least=None,
+           read=json_value):
+    """read(obj[key]): a JSON value of kind, or with read=json_list a
+    nonempty list of them, under the rule of errors.json_value."""
+    return read(obj.get(key) if isinstance(obj, dict) else None, kind,
+                f"{where}.{key}", CorruptLength, least)
 
 
 def _decode(data: bytes) -> tuple[dict, dict]:
@@ -112,17 +110,12 @@ def _decode(data: bytes) -> tuple[dict, dict]:
         raise VersionMismatch(f"archive version {version}, supported {VERSION}")
     if 16 + header_len > len(data):
         raise CorruptLength("declared header exceeds file size")
-    try:
-        header = json.loads(data[16:16 + header_len])
-    except ValueError as exc:   # bytes that are not UTF-8, text that is not JSON
-        raise CorruptLength(f"header is not UTF-8 JSON: {exc}") from exc
+    header = parse_json(data[16:16 + header_len], "header", CorruptLength)
     offset = 16 + header_len
     blobs = {}
     for entry in _field(header, "blobs", list):
         name = _field(entry, "name", str, "blob")
-        shape = _field(entry, "shape", list, f"blob {name}")
-        if not all(type(n) is int and n >= 0 for n in shape):
-            raise CorruptLength(f"blob {name}: bad shape {shape}")
+        shape = _field(entry, "shape", int, f"blob {name}", 0, json_list)
         end = offset + 4 * math.prod(shape)
         if end > len(data):
             raise CorruptLength(f"blob {name} truncated")
@@ -138,23 +131,25 @@ def _decode(data: bytes) -> tuple[dict, dict]:
 def load_model(path) -> ModelState:
     with open(path, "rb") as fh:
         header, blobs = _decode(fh.read())
+    # every size a constructor is given below is read from a blob already
+    # in the file: arch must be the spec the backbone's blobs imply
     arch = _field(header, "arch", dict)
-    n, side, d = (_field(arch, key, int, "arch")
-                  for key in ("n_classes", "input_side", "feature_dim"))
-    if n < 2 or d < 1:
-        raise CorruptLength(f"arch: {n} classes, {d} features")
+    n, side, d = (_field(arch, key, int, "arch", least) for key, least in
+                  (("n_classes", 2), ("input_side", None), ("feature_dim", 1)))
+    spec = Backbone.spec_of(blobs)
+    if arch != spec:
+        raise CorruptLength(f"arch {arch} disagrees with the blob shapes' {spec}")
     backbone = Backbone(n, side, d)
     backbone.load_state(blobs)
     state = ModelState(backbone=backbone, meta=_field(header, "meta", dict))
 
     if _field(header, "has_centers", bool):
-        centers = Centers(n, d, rate=_field(header, "center_rate", float))
-        centers.values = checked_blob(blobs, "centers",
-                                      centers.values.shape).copy()
-        state.centers = centers
+        values = checked_blob(blobs, "centers", (n, d))
+        state.centers = Centers(n, d, rate=_field(header, "center_rate", float))
+        state.centers.values = values.copy()
     if _field(header, "has_detector", bool):
         det_hdr = _field(header, "detector", dict)
-        counts = _field(det_hdr, "counts", list, "detector")
+        counts = _field(det_hdr, "counts", int, "detector", 0, json_list)
         if len(counts) != n:
             raise ShapeMismatch(f"detector.counts: {len(counts)} classes, "
                                 f"arch.n_classes {n}")

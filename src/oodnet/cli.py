@@ -9,13 +9,12 @@ write, is reported as ``error [<command>]: ...`` with exit code 1.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import data as datamod
 from .archive import ModelState, load_model, save_model
-from .errors import ConfigError, OodnetError
+from .errors import ConfigError, OodnetError, parse_json
 from .evalkit import write_csv, write_metrics_csv
 from .experiment import (RunConfig, _load_source, _tag, evaluate,
                          run_calibration, run_experiment, run_stage_one,
@@ -24,11 +23,8 @@ from .nn import embed, extract_features
 
 
 def _load_config(args) -> RunConfig:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    with open(args.config, "rb") as fh:
+        raw = parse_json(fh.read(), "config", ConfigError)
     if isinstance(raw, dict):   # the overrides are checked like the file
         for key, value in (("lambdas", args.lam), ("seeds", args.seed)):
             if value is not None:
@@ -54,13 +50,13 @@ def _load_calibrated(cfg: RunConfig, args) -> ModelState:
 
 
 def cmd_train(cfg: RunConfig, args):
-    os.makedirs(cfg.output_dir, exist_ok=True)
     main_train, _ = _load_source(cfg.main, anomaly=False)
     lam, seed = cfg.lambdas[0], cfg.seeds[0]
     model, centers, history = run_stage_one(main_train, lam, seed, cfg)
     state = ModelState(backbone=model, centers=centers,
                        meta={"lambda": lam, "seed": seed})
     path = _archive_path(cfg, args)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     save_model(path, state)
     for i, rec in enumerate(history):
         print(f"epoch {i}: loss={rec.loss:.6f} accuracy={rec.accuracy:.4f}")

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySplit, TruncatedPayload, UnsupportedMagic
+from .errors import (DimMismatch, EmptySplit, ShapeMismatch, TruncatedPayload,
+                     UnsupportedMagic)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -35,9 +36,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         if self.images.ndim != 3:
-            raise ValueError(f"images must be (M, H, W), got shape {self.images.shape}")
+            raise ShapeMismatch(f"images must be (M, H, W), got shape {self.images.shape}")
         if len(self.images) != len(self.labels):
-            raise ValueError("images/labels length mismatch")
+            raise DimMismatch(f"{len(self.images)} images, {len(self.labels)} labels")
         if self.role not in _ROLES:
             raise ValueError(f"unknown role {self.role!r}")
         values = set(self.class_map.values())
@@ -82,7 +83,10 @@ def parse_idx(data: bytes) -> np.ndarray:
     payload = data[header:]
     if len(payload) != expected:
         raise TruncatedPayload(f"expected {expected} payload bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    try:
+        return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    except ValueError as exc:   # a zero size, and the others' product past 2**63
+        raise TruncatedPayload(f"dims {dims}: {exc}") from exc
 
 
 def serialize_idx(array: np.ndarray) -> bytes:

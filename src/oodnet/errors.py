@@ -1,4 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one reader of the
+JSON it reads from outside (config files, archive headers).
+
+The rule for such a JSON value: a bool stands only for bool, an integer
+is accepted where a float is expected, a float must be finite, and a
+number may have to reach a least value. Each reader raises the error
+type it is given: ConfigError for a config, CorruptLength for an archive.
+"""
+import json
+import math
 
 
 class OodnetError(Exception):
@@ -87,3 +96,31 @@ class CorruptLength(OodnetError):
 
 class ConfigError(OodnetError):
     pass
+
+
+def parse_json(text, what: str, error: type):
+    """The JSON value of text (str or bytes); error if it is not UTF-8 JSON."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:   # bytes that are not UTF-8, text that is not JSON
+        raise error(f"{what} is not UTF-8 JSON: {exc}") from exc
+
+
+def json_value(value, kind: type, where: str, error: type, least=None):
+    """value, which must be a JSON value of kind and, given least, >= least."""
+    kinds = (int, float) if kind is float else kind
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds)
+            or isinstance(value, float) and not math.isfinite(value)):
+        name = "a finite number" if kind is float else kind.__name__
+        raise error(f"{where}: expected {name}, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{where}: must be >= {least}, got {value!r}")
+    return value
+
+
+def json_list(value, kind: type, where: str, error: type, least=None) -> list:
+    """value, which must be a nonempty JSON list of json_value items."""
+    if not isinstance(value, list) or not value:
+        raise error(f"{where}: expected a nonempty list, got {value!r}")
+    return [json_value(v, kind, f"{where}[{i}]", error, least)
+            for i, v in enumerate(value)]

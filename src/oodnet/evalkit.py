@@ -7,13 +7,17 @@ from statistics import median
 
 import numpy as np
 
-from .errors import DegenerateInput, SingleClass
+from .errors import DegenerateInput, LabelOutOfRange, SingleClass
 
 
 def confusion(true: np.ndarray, pred: np.ndarray, n: int) -> np.ndarray:
-    """n x n count matrix indexed (true class, predicted class)."""
+    """n x n count matrix indexed (true class, predicted class); a label
+    outside [0, n) raises LabelOutOfRange."""
     true = np.asarray(true, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
+    for labels in (true, pred):
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= n:
+            raise LabelOutOfRange(f"labels must lie in [0, {n})")
     counts = np.zeros((n, n), dtype=np.int64)
     np.add.at(counts, (true, pred), 1)
     return counts

@@ -3,9 +3,9 @@
 over balancing coefficients and seeds."""
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from . import data as datamod
 from .archive import ModelState, save_model
 from .centerloss import Centers
 from .detector import DEFAULT_PERCENTILE, DetectorModel, fit_stats
-from .errors import ConfigError
+from .errors import ConfigError, json_list, json_value
 from .evalkit import (confusion, f1, pca2, roc, write_median_csv,
                       write_metrics_csv, write_projection_csv, write_roc_csv)
 from .head import HeadTrainConfig, OodHead, train_head_on_features
@@ -24,56 +24,35 @@ from .nn import Backbone, TrainConfig, embed, extract_features, train
 
 _TOP_KEYS = {"output_dir", "seeds", "lambdas", "percentile", "tau",
              "train", "head_train", "data"}
-# every training field but the per-cell ones, which the sweep sets
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed", "lam"}
-_HEAD_KEYS = {f.name for f in fields(HeadTrainConfig)} - {"seed"}
-_DATA_KEYS = {"main", "anomaly"}
-_SOURCE_KEYS = {"idx", "synthetic", "keep_classes", "relabel"}
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 # synthetic source key -> (default, least value); the default's type is
 # the key's kind
 _SYNTH = {"n_classes": (3, 2), "per_class_train": (150, 1),
           "per_class_test": (50, 1), "side": (12, 1), "separation": (3.0, None),
           "seed": (0, 0), "layout_seed": (0, 0)}
+_value = partial(json_value, error=ConfigError)
+_list = partial(json_list, error=ConfigError)
 
 
-def _require_keys(obj: dict, allowed, where: str):
+def _require_keys(obj: dict, allowed, where: str, required=()):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = set(obj).difference(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing required keys {missing}")
 
 
-def _number(value, where: str, integer: bool = False, least=None):
-    """value, which must be a JSON integer (integer on) or finite number,
-    and at least ``least``. A bool is neither."""
-    kinds = int if integer else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or isinstance(value, float) and not math.isfinite(value)):
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{where}: expected {kind}, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{where}: must be >= {least}, got {value!r}")
-    return value
-
-
-def _numbers(value, where: str, integer: bool = False, least=None) -> list:
-    """A nonempty JSON list of _number values."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where}: expected a nonempty list, got {value!r}")
-    return [_number(v, f"{where}[{i}]", integer, least)
-            for i, v in enumerate(value)]
-
-
-def _section(cls, raw: dict, keys: set, where: str):
-    """cls built from the JSON object raw. Its keys are among ``keys``,
-    each value has the kind of the field's default, and cls's own range
-    checks run here, at parse time."""
-    _require_keys(raw, keys, where)
+def _section(cls, raw: dict, where: str, per_cell: set):
+    """cls built from the JSON object raw. Its keys are cls's fields but
+    the per-cell ones, which the sweep sets; each value has the kind of the
+    field's default, and cls's own range checks run here, at parse time."""
     defaults = {f.name: f.default for f in fields(cls)}
+    _require_keys(raw, set(defaults) - per_cell, where)
     for key, value in raw.items():
-        _number(value, f"{where}.{key}", isinstance(defaults[key], int))
+        _value(value, type(defaults[key]), f"{where}.{key}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -102,28 +81,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        _require_keys(raw, _TOP_KEYS, "config")
-        for key in ("output_dir", "seeds", "data"):
-            if key not in raw:
-                raise ConfigError(f"config: missing required key {key!r}")
-        if not isinstance(raw["output_dir"], str):
-            raise ConfigError("output_dir: expected a string")
-        _require_keys(raw["data"], _DATA_KEYS, "data")
-        if "main" not in raw["data"]:
-            raise ConfigError("data: missing 'main' source")
+        _require_keys(raw, _TOP_KEYS, "config",
+                      required=("output_dir", "seeds", "data"))
+        data = raw["data"]   # its keys are the sources: the fields not on top
+        _require_keys(data, {f.name for f in fields(cls)} - _TOP_KEYS, "data",
+                      required=("main",))
         cfg = cls(
-            output_dir=raw["output_dir"],
-            seeds=_numbers(raw["seeds"], "seeds", integer=True, least=0),
-            lambdas=[float(l) for l in _numbers(
-                raw.get("lambdas", [0.0, 0.1, 1.0]), "lambdas", least=0)],
-            train=_section(TrainConfig, raw.get("train", {}), _TRAIN_KEYS,
-                           "train"),
+            output_dir=_value(raw["output_dir"], str, "output_dir"),
+            seeds=_list(raw["seeds"], int, "seeds", least=0),
+            lambdas=[float(l) for l in _list(
+                raw.get("lambdas", [0.0, 0.1, 1.0]), float, "lambdas", least=0)],
+            train=_section(TrainConfig, raw.get("train", {}), "train",
+                           {"seed", "lam"}),
             head_train=_section(HeadTrainConfig, raw.get("head_train", {}),
-                                _HEAD_KEYS, "head_train"),
-            main=cls._parse_source(raw["data"]["main"], "data.main"),
-            anomaly=(cls._parse_source(raw["data"]["anomaly"], "data.anomaly")
-                     if "anomaly" in raw["data"] else None),
-            **{key: float(_number(raw[key], key))
+                                "head_train", {"seed"}),
+            main=cls._parse_source(data["main"], "data.main"),
+            anomaly=(cls._parse_source(data["anomaly"], "data.anomaly")
+                     if "anomaly" in data else None),
+            **{key: float(_value(raw[key], float, key))
                for key in ("percentile", "tau") if key in raw})
         if not 0 < cfg.percentile <= 1:
             raise ConfigError(f"percentile: must be in (0, 1], got {cfg.percentile}")
@@ -131,34 +106,26 @@ class RunConfig:
 
     @staticmethod
     def _parse_source(raw: dict, where: str) -> SourceSpec:
-        _require_keys(raw, _SOURCE_KEYS, where)
-        has_idx = "idx" in raw
-        has_synth = "synthetic" in raw
-        if has_idx == has_synth:
+        _require_keys(raw, {f.name for f in fields(SourceSpec)}, where)
+        if ("idx" in raw) == ("synthetic" in raw):
             raise ConfigError(f"{where}: exactly one of idx/synthetic required")
-        if has_idx:
-            _require_keys(raw["idx"], _IDX_KEYS, f"{where}.idx")
-            for key in _IDX_KEYS:
-                if key not in raw["idx"]:
-                    raise ConfigError(f"{where}.idx: missing {key!r}")
-                path = raw["idx"][key]
-                if not isinstance(path, str) or not os.path.isfile(path):
+        if "idx" in raw:
+            _require_keys(raw["idx"], _IDX_KEYS, f"{where}.idx", required=_IDX_KEYS)
+            for key, path in raw["idx"].items():
+                if not os.path.isfile(_value(path, str, f"{where}.idx.{key}")):
                     raise ConfigError(f"{where}.idx.{key}: no such file {path!r}")
         else:
             _require_keys(raw["synthetic"], _SYNTH, f"{where}.synthetic")
             for key, value in raw["synthetic"].items():
                 default, least = _SYNTH[key]
-                _number(value, f"{where}.synthetic.{key}",
-                        isinstance(default, int), least)
+                _value(value, type(default), f"{where}.synthetic.{key}", least=least)
         keep = raw.get("keep_classes")
         if keep is not None:
-            _numbers(keep, f"{where}.keep_classes", integer=True)
-        relabel = raw.get("relabel", False)
-        if not isinstance(relabel, bool):
-            raise ConfigError(f"{where}.relabel: expected true or false, "
-                              f"got {relabel!r}")
+            _list(keep, int, f"{where}.keep_classes")
         return SourceSpec(idx=raw.get("idx"), synthetic=raw.get("synthetic"),
-                          keep_classes=keep, relabel=relabel)
+                          keep_classes=keep,
+                          relabel=_value(raw.get("relabel", False), bool,
+                                         f"{where}.relabel"))
 
 
 def _load_source(spec: SourceSpec | None, anomaly: bool):
@@ -296,7 +263,6 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
     """Train/calibrate/evaluate every (lambda, seed) cell and write the
     report files (metrics, ROC points, feature projections, archives)."""
     anomaly_train, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     main_train, main_test = _load_source(cfg.main, anomaly=False)
 
     results = []
@@ -322,6 +288,7 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
             metric_rows.extend(cell.rows())
 
             tag = _tag(lam, seed)
+            os.makedirs(cfg.output_dir, exist_ok=True)
             save_model(os.path.join(cfg.output_dir, f"model_{tag}.oodn"), state)
             write_roc_csv(cell.semi_roc,
                           os.path.join(cfg.output_dir, f"roc_semi_{tag}.csv"))

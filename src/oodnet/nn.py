@@ -16,6 +16,7 @@ block or batch size around it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,7 +294,7 @@ class Backbone(LayerStack):
     def __init__(self, n_classes: int, input_side: int = 28,
                  feature_dim: int = 84, seed: int = 0, dtype=np.float32):
         if n_classes < 2:
-            raise ValueError("need at least 2 classes")
+            raise ShapeMismatch(f"{n_classes} classes: need at least 2")
         if input_side % 4 or input_side < 12:
             raise ShapeMismatch(
                 f"input side {input_side}: must be a multiple of 4 and >= 12")
@@ -316,6 +317,19 @@ class Backbone(LayerStack):
     def spec(self) -> dict:
         return {"n_classes": self.n_classes, "input_side": self.input_side,
                 "feature_dim": self.feature_dim}
+
+    @staticmethod
+    def spec_of(arrays: dict) -> dict:
+        """The spec whose model has fc1.W and clf.W of the shapes of these
+        named arrays: the inverse of the sizes __init__ derives from a
+        spec, so a stored spec can be checked before anything is built."""
+        shapes = [getattr(arrays.get(name), "shape", ())
+                  for name in ("fc1.W", "clf.W")]
+        if any(len(shape) != 2 for shape in shapes):
+            raise ShapeMismatch("blobs fc1.W and clf.W must be present and 2-D")
+        (flat, _), (d, n) = shapes
+        return {"n_classes": n, "input_side": 4 * (math.isqrt(flat // 16) + 2),
+                "feature_dim": d}
 
     def forward(self, images: np.ndarray):
         """images (m, H, W) -> (features (m, d), logits (m, n))."""

@@ -7,11 +7,14 @@ import math
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oodnet import synth_blobs
 from oodnet.archive import ModelState, load_model, save_model
+from oodnet.data import serialize_idx
 from oodnet.detector import DetectorModel
 from oodnet.cli import main
 from oodnet.errors import ConfigError, CorruptLength, OodnetError, ShapeMismatch
@@ -106,6 +109,68 @@ class TestArchiveFaults:
         assert f"error [{command}]" in capsys.readouterr().err
 
 
+def set_literal(path, dotted: str, literal: str):
+    """Rewrite the archive at path with the header value at dotted set to
+    the JSON text literal (which may be NaN, Infinity or 1e999)."""
+    data = path.read_bytes()
+    header = header_of(data)
+    set_key(header, dotted, "@@")
+    text = json.dumps(header).replace('"@@"', literal)
+    path.write_bytes(with_header(data, text.encode()))
+
+
+# header values the shared JSON rule rejects: a non-finite number, a count
+# that is not an integer >= 0, an arch the blob shapes do not imply
+BAD_HEADER_VALUES = [
+    ("head_tau", "NaN"), ("head_tau", "Infinity"), ("head_tau", "-Infinity"),
+    ("head_tau", "1e999"), ("center_rate", "NaN"),
+    ("detector.counts", '["x", null, true]'), ("detector.counts", "[-5, -5, -5]"),
+    ("arch.n_classes", str(10**13)), ("arch.feature_dim", "85"),
+    ("arch.input_side", "16"),
+]
+
+
+class TestBadHeaderValues:
+    @pytest.mark.parametrize("key,literal", BAD_HEADER_VALUES)
+    def test_load_model_raises_corrupt_length(self, tmp_path, key, literal):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        set_literal(path, key, literal)
+        with pytest.raises(CorruptLength, match=key.split(".")[-1]):
+            load_model(path)
+
+    @pytest.mark.parametrize("key,literal", BAD_HEADER_VALUES)
+    def test_score_exits_1(self, tmp_path, capsys, key, literal):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        set_literal(path, key, literal)
+        assert score_probe(tmp_path, path) == 1
+        out, err = capsys.readouterr()
+        assert "error [score]" in err and "verdict" not in out
+
+
+@pytest.mark.parametrize("literal", ["0.5", "1", "true", '"0.5"', "null", "NaN",
+                                     "Infinity", "1e999"])
+def test_tau_and_head_tau_accept_the_same_scalars(tmp_path, literal):
+    """The config's tau and the archive header's head_tau are read by one
+    rule: of these JSON scalars both accept 0.5 and 1, and nothing else."""
+    text = json.dumps({**synth_config(tmp_path), "tau": "@@"})
+    try:
+        RunConfig.from_dict(json.loads(text.replace('"@@"', literal)))
+        config_ok = True
+    except ConfigError:
+        config_ok = False
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    set_literal(path, "head_tau", literal)
+    try:
+        load_model(path)
+        header_ok = True
+    except CorruptLength:
+        header_ok = False
+    assert config_ok == header_ok == (literal in ("0.5", "1"))
+
+
 @functools.lru_cache(maxsize=None)
 def archive_bytes(tmp_dir) -> bytes:
     path = tmp_dir / "valid.oodn"
@@ -131,6 +196,37 @@ def test_edited_archive_loads_or_raises_typed_error(tmp_path_factory, data):
         edited = valid[:at] + bytes([byte]) + valid[at + 1:]
     path = tmp_dir / "edited.oodn"
     path.write_bytes(edited)
+    try:
+        load_model(path)
+    except OodnetError:
+        pass
+
+
+def slots(obj, path=()):
+    """Key paths of every value inside a JSON object or list."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from slots(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edited_header_loads_or_raises_typed_error(tmp_path_factory, data):
+    """Any JSON value in place of any value of a valid archive's header
+    (blob table, counts and arch included) loads or raises an
+    OodnetError."""
+    tmp_dir = tmp_path_factory.getbasetemp()
+    valid = archive_bytes(tmp_dir)
+    header = header_of(valid)
+    *parents, last = data.draw(st.sampled_from(sorted(slots(header), key=str)),
+                               label="slot")
+    obj = header
+    for key in parents:
+        obj = obj[key]
+    obj[last] = data.draw(JSON_VALUES, label="value")
+    path = tmp_dir / "edited-header.oodn"
+    path.write_bytes(with_header(valid, header))
     try:
         load_model(path)
     except OodnetError:
@@ -254,6 +350,74 @@ def test_edited_config_parses_or_raises_config_error(data):
         RunConfig.from_dict(raw)
     except ConfigError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# IDX sources
+
+
+def idx_config(tmp_path, fault) -> str:
+    """Path of a synth_config file whose main source is four IDX files of
+    3x30 training and 3x10 test blobs, after fault(files, source) edits
+    the arrays (name -> uint8 array) or the source object."""
+    train = synth_blobs(3, 30, side=12, separation=3.5, seed=0)
+    test = synth_blobs(3, 10, side=12, separation=3.5, seed=1)
+    files = {f"{split}_{part}": (getattr(ds, part) * scale).astype(np.uint8)
+             for split, ds in (("train", train), ("test", test))
+             for part, scale in (("images", 255), ("labels", 1))}
+    source = {"idx": {name: str(tmp_path / f"{name}.idx") for name in files}}
+    fault(files, source)
+    for name, array in files.items():
+        (tmp_path / f"{name}.idx").write_bytes(serialize_idx(array))
+    raw = synth_config(tmp_path, epochs=1)
+    raw["data"]["main"] = source
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    return str(cfg_path)
+
+
+def labels_one_short(files, source):
+    files["train_labels"] = files["train_labels"][:-1]
+
+
+def labels_as_images(files, source):
+    source["idx"]["train_images"] = source["idx"]["train_labels"]
+
+
+def one_class_after_relabel(files, source):
+    source.update(keep_classes=[1], relabel=True)
+
+
+def label_out_of_range(files, source):
+    files["test_labels"][0] = 7
+
+
+IDX_FAULTS = [(fault, command) for fault in (labels_one_short, labels_as_images,
+                                             one_class_after_relabel)
+              for command in ("train", "run-experiment")] \
+    + [(label_out_of_range, "run-experiment")]
+
+
+@pytest.mark.parametrize("fault,command", IDX_FAULTS)
+def test_malformed_idx_source_exits_1_writing_nothing(tmp_path, capsys, fault,
+                                                      command):
+    cfg_path = idx_config(tmp_path, fault)
+    assert main([command, "--config", cfg_path]) == 1
+    assert f"error [{command}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_score_of_unrepresentable_idx_dims_exits_1(tmp_path, capsys):
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    image_file = tmp_path / "probe.idx"
+    image_file.write_bytes(struct.pack(">I3I", 0x803, 0, 2**32 - 1, 2**32 - 1))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(synth_config(tmp_path)))
+    assert main(["score", "--config", str(cfg_path), "--model", str(path),
+                 str(image_file)]) == 1
+    out, err = capsys.readouterr()
+    assert "error [score]" in err and not out
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from conftest import nearest_mean_accuracy
 from oodnet import (LabeledDataset, make_batches, normalize, parse_idx,
                     serialize_idx, split_classes, synth_blobs)
 from oodnet.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
-from oodnet.errors import (EmptySplit, OodnetError, TruncatedPayload,
-                           UnsupportedMagic)
+from oodnet.errors import (DimMismatch, EmptySplit, OodnetError,
+                           ShapeMismatch, TruncatedPayload, UnsupportedMagic)
 
 
 def make_ds(labels, side=4, role="main-train"):
@@ -34,6 +34,11 @@ class TestParseIdx:
         with pytest.raises(UnsupportedMagic):
             parse_idx(struct.pack(">II", 0x802, 3) + bytes(3))
 
+    def test_unrepresentable_dims(self):
+        with pytest.raises(TruncatedPayload):
+            parse_idx(struct.pack(">I3I", IDX_IMAGES_MAGIC, 0, 2**32 - 1,
+                                  2**32 - 1))
+
     def test_truncated_payload(self):
         with pytest.raises(TruncatedPayload):
             parse_idx(struct.pack(">IIII", 0x803, 2, 28, 28) + bytes(100))
@@ -46,6 +51,9 @@ class TestParseIdx:
         st.binary(max_size=40)))
     # dims whose product is 2**64: an int64 product wraps to 0
     @example(struct.pack(">4I", IDX_IMAGES_MAGIC, 2**31, 2**31, 4))
+    # an empty payload whose other dims numpy cannot hold in one array
+    @example(struct.pack(">I3I", IDX_IMAGES_MAGIC, 0, 2**32 - 1, 2**32 - 1))
+    @example(b"\x00\x00\x08\x03\x00\x00\x00\x00\xad\x00\x00\x00\xbdi\x10H")
     def test_any_bytes_parse_or_raise_typed_error(self, raw):
         try:
             parse_idx(raw)
@@ -147,3 +155,15 @@ class TestSynthBlobs:
     def test_images_in_unit_interval(self):
         ds = synth_blobs(2, 10, side=10, seed=3)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+
+
+class TestLabeledDatasetChecks:
+    def test_length_mismatch_is_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            LabeledDataset(np.zeros((3, 4, 4), dtype=np.float32),
+                           np.zeros(2, dtype=np.int64))
+
+    def test_images_not_rank_3_is_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            LabeledDataset(np.zeros(3, dtype=np.float32),
+                           np.zeros(3, dtype=np.int64))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodnet import confusion, f1, pca2, roc
-from oodnet.errors import DegenerateInput, SingleClass
+from oodnet.errors import DegenerateInput, LabelOutOfRange, SingleClass
 
 
 def concordance_auc(scores, is_anom, higher_is_anomalous=True):
@@ -56,6 +56,13 @@ class TestF1:
         counts = confusion(true, [0, 2, 2, 1, 1], 3)
         assert counts.sum() == 5
         assert (counts >= 0).all()
+
+
+@pytest.mark.parametrize("true,pred", [([0, 7], [0, 1]), ([0, -1], [0, 1]),
+                                       ([0, 1], [0, 3])])
+def test_confusion_rejects_label_outside_range(true, pred):
+    with pytest.raises(LabelOutOfRange):
+        confusion(np.array(true), np.array(pred), 3)
 
 
 class TestRoc:

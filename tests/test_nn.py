@@ -118,6 +118,15 @@ class TestForward:
         feats, logits = model.forward(np.zeros((2, side, side), dtype=np.float32))
         assert feats.shape == (2, 84) and logits.shape == (2, 3)
 
+    def test_one_class_is_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            Backbone(1, input_side=12, seed=0)
+
+    @pytest.mark.parametrize("side,d,n", [(12, 84, 3), (16, 5, 2), (28, 84, 10)])
+    def test_spec_of_inverts_the_layer_sizes(self, side, d, n):
+        model = Backbone(n, input_side=side, feature_dim=d, seed=0)
+        assert Backbone.spec_of(model.state()) == model.spec()
+
     def test_pure_function_of_inputs(self):
         model = Backbone(3, input_side=12, seed=0)
         images = np.random.default_rng(2).random((3, 12, 12)).astype(np.float32)
