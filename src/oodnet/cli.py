@@ -14,9 +14,10 @@ import sys
 
 from . import data as datamod
 from .archive import ModelState, load_model, save_model
-from .errors import ConfigError, OodnetError, parse_json
+from .errors import (ConfigError, CorruptLength, OodnetError, json_value,
+                     parse_json)
 from .evalkit import write_csv, write_metrics_csv
-from .experiment import (RunConfig, _load_source, _tag, evaluate,
+from .experiment import (RunConfig, _load_split, _tag, evaluate,
                          run_calibration, run_experiment, run_stage_one,
                          run_stage_two)
 from .nn import embed, extract_features
@@ -50,7 +51,7 @@ def _load_calibrated(cfg: RunConfig, args) -> ModelState:
 
 
 def cmd_train(cfg: RunConfig, args):
-    main_train, _ = _load_source(cfg.main, anomaly=False)
+    main_train = _load_split(cfg.main, "train", anomaly=False)
     lam, seed = cfg.lambdas[0], cfg.seeds[0]
     model, centers, history = run_stage_one(main_train, lam, seed, cfg)
     state = ModelState(backbone=model, centers=centers,
@@ -66,7 +67,7 @@ def cmd_train(cfg: RunConfig, args):
 def cmd_calibrate(cfg: RunConfig, args):
     path = _archive_path(cfg, args)
     state = load_model(path)
-    main_train, _ = _load_source(cfg.main, anomaly=False)
+    main_train = _load_split(cfg.main, "train", anomaly=False)
     state.detector = run_calibration(state.backbone, main_train, cfg.percentile)
     save_model(path, state)
     print(f"calibrated {len(state.detector.stats)} classes "
@@ -74,10 +75,10 @@ def cmd_calibrate(cfg: RunConfig, args):
 
 
 def cmd_train_head(cfg: RunConfig, args):
-    anomaly_train, _ = _load_source(cfg.anomaly, anomaly=True)
+    anomaly_train = _load_split(cfg.anomaly, "train", anomaly=True)
     path = _archive_path(cfg, args)
     state = load_model(path)
-    main_train, _ = _load_source(cfg.main, anomaly=False)
+    main_train = _load_split(cfg.main, "train", anomaly=False)
     model = state.backbone
     state.head = run_stage_two(extract_features(model, main_train.images),
                                extract_features(model, anomaly_train.images),
@@ -87,11 +88,14 @@ def cmd_train_head(cfg: RunConfig, args):
 
 
 def cmd_eval(cfg: RunConfig, args):
-    _, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
+    anomaly_test = _load_split(cfg.anomaly, "test", anomaly=True)
     state = _load_calibrated(cfg, args)
-    _, main_test = _load_source(cfg.main, anomaly=False)
-    lam = state.meta.get("lambda", cfg.lambdas[0])
-    seed = state.meta.get("seed", cfg.seeds[0])
+    # the cell's lambda and seed: the archive's, else the config's first
+    lam, seed = (json_value(state.meta.get(key, default), kind, f"meta.{key}",
+                            CorruptLength, least=0)
+                 for key, kind, default in (("lambda", float, cfg.lambdas[0]),
+                                            ("seed", int, cfg.seeds[0])))
+    main_test = _load_split(cfg.main, "test", anomaly=False)
     rows = evaluate(state, main_test, anomaly_test, lam, seed).rows()
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, "eval_metrics.csv")
@@ -122,7 +126,7 @@ def cmd_score(cfg: RunConfig, args):
 
 def cmd_export_features(cfg: RunConfig, args):
     state = load_model(_archive_path(cfg, args))
-    _, main_test = _load_source(cfg.main, anomaly=False)
+    main_test = _load_split(cfg.main, "test", anomaly=False)
     feats = extract_features(state.backbone, main_test.images)
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "features.csv")

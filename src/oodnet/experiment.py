@@ -59,6 +59,10 @@ def _section(cls, raw: dict, where: str, per_cell: set):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _tag(lam: float, seed: int) -> str:
+    return f"lam{lam:g}_seed{seed}"
+
+
 @dataclass
 class SourceSpec:
     idx: dict | None = None
@@ -102,6 +106,10 @@ class RunConfig:
                for key in ("percentile", "tau") if key in raw})
         if not 0 < cfg.percentile <= 1:
             raise ConfigError(f"percentile: must be in (0, 1], got {cfg.percentile}")
+        for key, tags in (("lambdas", [_tag(lam, 0) for lam in cfg.lambdas]),
+                          ("seeds", [_tag(0.0, seed) for seed in cfg.seeds])):
+            if len(set(tags)) < len(tags):   # two cells would share files
+                raise ConfigError(f"{key}: two values give one file name: {tags}")
         return cfg
 
     @staticmethod
@@ -128,29 +136,26 @@ class RunConfig:
                                          f"{where}.relabel"))
 
 
-def _load_source(spec: SourceSpec | None, anomaly: bool):
-    """-> (train dataset, test dataset); anomaly sources get anomaly role.
-    No source (a config without data.anomaly) is a ConfigError."""
+def _load_split(spec: SourceSpec | None, split: str, anomaly: bool):
+    """Split "train" or "test" of a source, in the anomaly role for an anomaly
+    source. No source (a config without data.anomaly) is a ConfigError."""
     if spec is None:
         raise ConfigError("data: missing 'anomaly' source")
-    roles = ((datamod.ROLE_ANOMALY, datamod.ROLE_ANOMALY) if anomaly
-             else (datamod.ROLE_MAIN_TRAIN, datamod.ROLE_MAIN_TEST))
-    splits = zip(("train", "test"), roles)
+    role = (datamod.ROLE_ANOMALY if anomaly else datamod.ROLE_MAIN_TRAIN
+            if split == "train" else datamod.ROLE_MAIN_TEST)
     if spec.idx is not None:
-        tr, te = (datamod.load_idx_dataset(spec.idx[f"{split}_images"],
-                                           spec.idx[f"{split}_labels"], role)
-                  for split, role in splits)
+        ds = datamod.load_idx_dataset(spec.idx[f"{split}_images"],
+                                      spec.idx[f"{split}_labels"], role)
     else:
         s = {key: spec.synthetic.get(key, default)
              for key, (default, _) in _SYNTH.items()}
-        tr, te = (datamod.synth_blobs(
+        ds = datamod.synth_blobs(
             s["n_classes"], s[f"per_class_{split}"], side=s["side"],
-            separation=s["separation"], seed=s["seed"] + k, role=role,
-            layout_seed=s["layout_seed"]) for k, (split, role) in enumerate(splits))
+            separation=s["separation"], seed=s["seed"] + (split == "test"),
+            role=role, layout_seed=s["layout_seed"])
     if spec.keep_classes is not None:
-        tr = datamod.split_classes(tr, spec.keep_classes, spec.relabel)
-        te = datamod.split_classes(te, spec.keep_classes, spec.relabel)
-    return tr, te
+        ds = datamod.split_classes(ds, spec.keep_classes, spec.relabel)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +260,12 @@ def evaluate_on_features(state: ModelState, feats_in, logits_in, labels_in,
 # full sweep
 
 
-def _tag(lam: float, seed: int) -> str:
-    return f"lam{lam:g}_seed{seed}"
-
-
 def run_experiment(cfg: RunConfig) -> list[CellResult]:
     """Train/calibrate/evaluate every (lambda, seed) cell and write the
     report files (metrics, ROC points, feature projections, archives)."""
-    anomaly_train, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
-    main_train, main_test = _load_source(cfg.main, anomaly=False)
+    splits = ("train", "test")
+    anomaly_train, anomaly_test = (_load_split(cfg.anomaly, s, True) for s in splits)
+    main_train, main_test = (_load_split(cfg.main, s, False) for s in splits)
 
     results = []
     metric_rows = []

@@ -20,7 +20,7 @@ from oodnet import (Backbone, Centers, ClassStats, DetectorModel, OodHead,
                     grad_check, pca2, roc, split_classes, train)
 from oodnet.archive import load_model
 from oodnet.data import load_idx_dataset
-from oodnet.experiment import (RunConfig, _load_source, evaluate,
+from oodnet.experiment import (RunConfig, _load_split, evaluate,
                                run_calibration, run_experiment)
 from oodnet.head import HeadTrainConfig, train_head_on_features
 
@@ -350,8 +350,8 @@ def test_criterion_9_pca_export(tmp_path):
     lines = proj_path.read_text().splitlines()
     ok = lines[0] == "x,y,label,is_ood" and len(lines) == 1 + 90 + 60
     state = load_model(tmp_path / "out" / "model_lam1_seed0.oodn")
-    _, main_test = _load_source(cfg.main, anomaly=False)
-    _, anom_test = _load_source(cfg.anomaly, anomaly=True)
+    main_test = _load_split(cfg.main, "test", anomaly=False)
+    anom_test = _load_split(cfg.anomaly, "test", anomaly=True)
     feats = np.concatenate([
         extract_features(state.backbone, main_test.images),
         extract_features(state.backbone, anom_test.images)])
@@ -384,8 +384,8 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     second = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")}
     identical = first == second
 
-    _, main_test = _load_source(cfg.main, anomaly=False)
-    _, anom_test = _load_source(cfg.anomaly, anomaly=True)
+    main_test = _load_split(cfg.main, "test", anomaly=False)
+    anom_test = _load_split(cfg.anomaly, "test", anomaly=True)
     state = load_model(tmp_path / "out" / "model_lam1_seed0.oodn")
     cell = evaluate(state, main_test, anom_test, 1.0, 0)
     ref = next(r for r in results if r.lam == 1.0)

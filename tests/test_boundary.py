@@ -19,7 +19,8 @@ from oodnet.detector import DetectorModel
 from oodnet.cli import main
 from oodnet.errors import ConfigError, CorruptLength, OodnetError, ShapeMismatch
 from oodnet.experiment import RunConfig, run_experiment
-from test_cli import full_state, rewrite_blob, score_probe, synth_config
+from test_cli import (full_state, rewrite_blob, score_probe, synth_config,
+                      write_config)
 
 # ---------------------------------------------------------------------------
 # archive bytes
@@ -109,6 +110,14 @@ class TestArchiveFaults:
         assert f"error [{command}]" in capsys.readouterr().err
 
 
+def test_bytes_after_the_last_blob_raise_corrupt_length(tmp_path):
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(CorruptLength, match="trailing"):
+        load_model(path)
+
+
 def set_literal(path, dotted: str, literal: str):
     """Rewrite the archive at path with the header value at dotted set to
     the JSON text literal (which may be NaN, Infinity or 1e999)."""
@@ -147,6 +156,28 @@ class TestBadHeaderValues:
         assert score_probe(tmp_path, path) == 1
         out, err = capsys.readouterr()
         assert "error [score]" in err and "verdict" not in out
+
+
+@pytest.fixture(scope="module")
+def sweep_archive(tmp_path_factory) -> bytes:
+    """The archive of a one-cell run-experiment sweep of synth_config."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    run_experiment(RunConfig.from_dict(synth_config(tmp, epochs=1)))
+    return (tmp / "out" / "model_lam0_seed0.oodn").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["lambda", "seed"])
+@pytest.mark.parametrize("literal", ["NaN", '{"a": 1}', "-1"])
+def test_eval_of_a_bad_meta_value_exits_1_writing_nothing(
+        tmp_path, capsys, sweep_archive, key, literal):
+    path = tmp_path / "m.oodn"
+    path.write_bytes(sweep_archive)
+    set_literal(path, f"meta.{key}", literal)
+    cfg_path = write_config(tmp_path, synth_config(tmp_path))
+    assert main(["eval", "--config", cfg_path, "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"error [eval]: meta.{key}" in err and not out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("literal", ["0.5", "1", "true", '"0.5"', "null", "NaN",
@@ -321,6 +352,32 @@ class TestConfigFaults:
         assert "error [train]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,values", [("lambdas", [1e-5, 1.000001e-5]),
+                                        ("lambdas", [0.1, 0.1]),
+                                        ("seeds", [0, 0])])
+def test_cells_sharing_file_names_exit_1_writing_nothing(tmp_path, capsys, key,
+                                                         values):
+    """Each (lambda, seed) cell names its files with experiment._tag, which
+    prints lambda with :g; no two cells may get the same name."""
+    raw = {**synth_config(tmp_path, epochs=1), key: values}
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(raw)
+    cfg_path = write_config(tmp_path, raw)
+    assert main(["run-experiment", "--config", cfg_path]) == 1
+    assert "error [run-experiment]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_with_a_non_finite_loss_exits_1_writing_nothing(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, synth_config(tmp_path, lambdas=(1e300,),
+                                                   epochs=1))
+    assert main(["train", "--config", cfg_path]) == 1
+    out, err = capsys.readouterr()
+    assert "error [train]: loss=nan" in err and not out
+    assert not (tmp_path / "out").exists()
+
+
 def leaves(obj, prefix=""):
     """Dotted paths of every value in a JSON object that is not an object."""
     for key, value in obj.items():
@@ -405,6 +462,22 @@ def test_malformed_idx_source_exits_1_writing_nothing(tmp_path, capsys, fault,
     assert main([command, "--config", cfg_path]) == 1
     assert f"error [{command}]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def labels_one_short_in(split):
+    def fault(files, source):
+        files[f"{split}_labels"] = files[f"{split}_labels"][:-1]
+    return fault
+
+
+@pytest.mark.parametrize("command,unread", [
+    ("train", "test"), ("eval", "train"), ("export-features", "train")])
+def test_a_split_the_command_does_not_use_is_not_read(tmp_path, command,
+                                                      unread):
+    cfg_path = idx_config(tmp_path, labels_one_short_in(unread))
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    assert main([command, "--config", cfg_path, "--model", str(path)]) == 0
 
 
 def test_score_of_unrepresentable_idx_dims_exits_1(tmp_path, capsys):

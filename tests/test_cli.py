@@ -5,17 +5,17 @@ import struct
 import numpy as np
 import pytest
 
-from oodnet import nn, synth_blobs
+from oodnet import data, nn, synth_blobs
 from oodnet.archive import ModelState, load_model, save_model
 from oodnet.centerloss import Centers
 from oodnet.cli import main
-from oodnet.data import serialize_idx
+from oodnet.data import load_idx_file, normalize, serialize_idx
 from oodnet.detector import DetectorModel, fit_stats
 from oodnet.errors import (BadMagic, ConfigError, CorruptLength,
                            OodnetError, VersionMismatch)
-from oodnet.experiment import (RunConfig, _load_source, evaluate,
+from oodnet.experiment import (RunConfig, _load_split, evaluate,
                                run_experiment)
-from oodnet.head import OodHead
+from oodnet.head import OodHead, classify_ood
 from oodnet.nn import Backbone, extract_features
 
 
@@ -290,9 +290,8 @@ class TestRunExperiment:
         raw = synth_config(tmp_path, epochs=2)
         cfg = RunConfig.from_dict(raw)
         results = run_experiment(cfg)
-        from oodnet.experiment import _load_source
-        _, main_test = _load_source(cfg.main, anomaly=False)
-        _, anomaly_test = _load_source(cfg.anomaly, anomaly=True)
+        main_test = _load_split(cfg.main, "test", anomaly=False)
+        anomaly_test = _load_split(cfg.anomaly, "test", anomaly=True)
         archive = tmp_path / "out" / "model_lam0_seed0.oodn"
         state = load_model(archive)
         cell = evaluate(state, main_test, anomaly_test, 0.0, 0)
@@ -324,8 +323,9 @@ class TestRunExperiment:
         monkeypatch.setattr(nn.Backbone, "forward", counted_forward)
         monkeypatch.setattr(nn, "train_epoch", training)
         run_experiment(cfg)
-        splits = _load_source(cfg.main, anomaly=False) \
-            + _load_source(cfg.anomaly, anomaly=True)
+        splits = [_load_split(spec, split, anomaly)
+                  for spec, anomaly in ((cfg.main, False), (cfg.anomaly, True))
+                  for split in ("train", "test")]
         assert sum(embedded) == sum(len(ds) for ds in splits)
 
     def test_eval_writes_the_cells_metrics_rows(self, tmp_path):
@@ -410,6 +410,53 @@ class TestCliCommands:
         assert main(["train", "--config", cfg_path,
                      "--lambda", "0.5", "--seed", "3"]) == 0
         assert (tmp_path / "out" / "model_lam0.5_seed3.oodn").exists()
+
+
+class TestOneSplitPerLoad:
+    def test_each_command_builds_only_the_splits_it_reads(self, tmp_path,
+                                                          monkeypatch):
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=1))
+        built, synth = [], data.synth_blobs
+
+        def counted(n_classes, per_class, **kwargs):
+            built.append((kwargs["role"], per_class))
+            return synth(n_classes, per_class, **kwargs)
+
+        monkeypatch.setattr(data, "synth_blobs", counted)
+        splits = {}
+        for command in ("train", "calibrate", "train-head", "eval",
+                        "export-features", "run-experiment"):
+            built.clear()
+            assert main([command, "--config", cfg_path]) == 0
+            splits[command] = list(built)
+        main_train, main_test = ("main-train", 120), ("main-test", 30)
+        anomaly_train, anomaly_test = ("anomaly", 90), ("anomaly", 30)
+        assert splits == {
+            "train": [main_train],
+            "calibrate": [main_train],
+            "train-head": [anomaly_train, main_train],
+            "eval": [anomaly_test, main_test],
+            "export-features": [main_test],
+            "run-experiment": [anomaly_train, anomaly_test, main_train,
+                               main_test],
+        }
+
+
+class TestScoreWithHead:
+    def test_head_columns_match_the_library(self, tmp_path, capsys):
+        path = tmp_path / "m.oodn"
+        save_model(path, full_state())
+        assert score_probe(tmp_path, path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        state = load_model(path)
+        feats = extract_features(
+            state.backbone, normalize(load_idx_file(tmp_path / "probe.idx")))
+        p = state.head.forward_many(feats)
+        assert len(lines) == len(feats) == 4
+        for line, feat, p_i in zip(lines, feats, p):
+            fields = dict(item.split("=") for item in line.split()[1:])
+            assert fields["head_p"] == f"{p_i:.4f}"
+            assert fields["head_verdict"] == classify_ood(state.head, feat)
 
 
 class TestUncalibratedArchive:

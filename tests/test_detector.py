@@ -3,8 +3,8 @@ import pytest
 
 from oodnet import ClassStats, DetectorModel, detector, fit_stats
 from oodnet.archive import ModelState, load_model, save_model
-from oodnet.errors import (DegenerateClass, DimMismatch, NonFiniteFeature,
-                           NotCalibrated)
+from oodnet.errors import (DegenerateClass, DimMismatch, FactorizationFailure,
+                           NonFiniteFeature, NotCalibrated)
 from oodnet.nn import Backbone
 
 
@@ -83,6 +83,10 @@ class TestMahalanobis:
         stats = ClassStats._from_moments(np.zeros(2), np.eye(2), 10)
         with pytest.raises(DimMismatch):
             stats.mahalanobis(np.zeros(3))
+
+    def test_negative_definite_covariance_fails_to_factor(self):
+        with pytest.raises(FactorizationFailure):
+            ClassStats._from_moments(np.zeros(3), -np.eye(3), 10)
 
     @pytest.mark.parametrize("d", [2, 5, 10])
     def test_factorized_solve_matches_explicit_inverse(self, d):
