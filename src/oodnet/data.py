@@ -108,8 +108,12 @@ def load_idx_file(path) -> np.ndarray:
 
 
 def normalize(raw: np.ndarray) -> np.ndarray:
-    """Scale byte intensities [0, 255] to unit-interval float32."""
-    return np.asarray(raw, dtype=np.float32) / 255.0
+    """Scale byte intensities [0, 255] to unit-interval float32: one fresh
+    copy, divided in place, so a split is held as float32 once. The input
+    is never written to."""
+    images = np.array(raw, dtype=np.float32)
+    images /= 255.0
+    return images
 
 
 def load_idx_dataset(image_path, label_path, role: str) -> LabeledDataset:

@@ -7,20 +7,22 @@ mode. The deep feature is the post-ReLU output of the last hidden dense
 layer (84 units by default) feeding the linear classifier.
 
 Kernels: convolution is im2col plus one GEMM per block of ``BLOCK``
-samples; max pooling is ``np.maximum`` over four strided views; dense
-layers use a fixed-order ``einsum``. Inference gives the same bits at any
-batch size because every output row is computed from its own input row
-alone: a convolution output from its own patch row, a pooled value from
-its own window, a dense output from its own input vector, whatever the
-block or batch size around it.
+samples, the block's patch matrix gathered with one ``np.take`` through a
+flat patch index that is built once per input shape; max pooling is
+``np.maximum`` over four strided views; dense layers use a fixed-order
+``einsum``. Inference gives the same bits at any batch size because every
+output row is computed from its own input row alone: a convolution output
+from its own patch row, a pooled value from its own window, a dense
+output from its own input vector, whatever the block or batch size
+around it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .centerloss import center_loss, center_loss_grads, combine
 from .data import ROLE_MAIN_TRAIN, LabeledDataset, MiniBatch, make_batches
@@ -93,12 +95,27 @@ class ParamLayer(Layer):
         return [self.dW, self.db]
 
 
+@functools.lru_cache(maxsize=None)
+def _patch_index(C, H, W, k):
+    """Read-only (Ho*Wo, C*k*k) index into one flattened (C, H, W) sample:
+    row r = i*Wo + j lists the pixels of the patch at output pixel (i, j) in
+    (c, u, v) order. Cached per shape, so every block and pass shares it."""
+    Ho, Wo = H - k + 1, W - k + 1
+    offsets = (np.arange(C)[:, None, None] * (H * W)
+               + np.arange(k)[:, None] * W + np.arange(k)).ravel()
+    corners = (np.arange(Ho)[:, None] * W + np.arange(Wo)).ravel()
+    index = corners[:, None] + offsets
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(x, k):
-    """(b, C, H, W) -> patch rows (b*Ho*Wo, C*k*k), one row per output pixel,
-    in (sample, row, column) order."""
-    win = sliding_window_view(x, (k, k), axis=(2, 3))   # (b, C, Ho, Wo, k, k)
-    b, C, Ho, Wo = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b * Ho * Wo, C * k * k)
+    """(b, C, H, W) -> C-contiguous patch rows (b*Ho*Wo, C*k*k), one row per
+    output pixel, in (sample, row, column) order: one gather through the
+    cached patch index of one sample."""
+    b, C, H, W = x.shape
+    index = _patch_index(C, H, W, k)
+    return np.take(x.reshape(b, C * H * W), index, axis=1).reshape(-1, index.shape[1])
 
 
 class Conv2D(ParamLayer):
@@ -106,12 +123,14 @@ class Conv2D(ParamLayer):
 
     im2col (Chellapilla, Puri & Simard, 2006): each output pixel's patch
     is one row of a matrix, and one GEMM against the flattened kernels
-    computes a block of ``BLOCK`` samples. Every output value is the dot
-    product of its own patch row with one kernel, so it does not depend on
-    the block or batch size it was computed in. Backward rebuilds each
-    block's patches for dW rather than keeping them from the forward pass,
-    and computes dx as one GEMM followed by one strided add per kernel
-    offset (col2im).
+    computes a block of ``BLOCK`` samples. The matrix is one gather from
+    the block's flattened samples through ``_patch_index``, a read-only
+    index of the patch pixels of one sample, cached per (C, H, W, k).
+    Every output value is the dot product of its own patch row with one
+    kernel, so it does not depend on the block or batch size it was
+    computed in. Backward rebuilds each block's patches for dW rather than
+    keeping them from the forward pass, and computes dx as one GEMM
+    followed by one strided add per kernel offset (col2im).
 
     With ``input_grad=False`` (a layer whose input is data) backward
     computes only dW and db and returns None.
@@ -131,7 +150,10 @@ class Conv2D(ParamLayer):
         m, _, H, W = x.shape
         O = self.W.shape[0]
         Ho, Wo = H - k + 1, W - k + 1
-        w = self.W.reshape(O, -1).T
+        # C-contiguous kernels: given the transposed view, OpenBLAS takes a
+        # small-matrix kernel for a small block that rounds differently from
+        # its large one, and an output depended on the batch it was in.
+        w = np.ascontiguousarray(self.W.reshape(O, -1).T)
         out = np.empty((m, O, Ho, Wo), dtype=x.dtype)
         for s in range(0, m, BLOCK):
             y = _im2col(x[s:s + BLOCK], k) @ w

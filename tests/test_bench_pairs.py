@@ -1,0 +1,95 @@
+"""tools/bench_pairs.py: the pairing order, the seeds and the per-metric
+summary, run against stand-in checkouts whose benchmark prints a fixed
+JSON summary."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+DECLARED = [{"name": "throughput_samples_per_s", "unit": "samples/s",
+             "better": "higher", "bound": 0.25},
+            {"name": "latency_mean_ms", "unit": "ms", "better": "lower",
+             "bound": 0.25}]
+
+# a benchmark that logs its checkout and seed and reports the checkout's
+# throughput (VALUE) and latency (100 / VALUE)
+FAKE_RUN = """import json, sys
+from pathlib import Path
+seed = sys.argv[sys.argv.index("--seed") + 1]
+with open(LOG, "a") as fh:
+    fh.write(f"{NAME} {seed}\\n")
+print("some report line")
+print(json.dumps({"correct": True, "attempted": 3, "failed": FAILED,
+                  "metrics": {"throughput_samples_per_s": {"value": VALUE, "unit": "samples/s"},
+                              "latency_mean_ms": {"value": 100 / VALUE, "unit": "ms"}}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def checkout(root: Path, name: str, value: float, failed: int, log: Path) -> Path:
+    (root / name / "perfbench").mkdir(parents=True)
+    (root / name / "perfbench" / "run.py").write_text(
+        FAKE_RUN.replace("LOG", repr(str(log))).replace("NAME", repr(name))
+        .replace("VALUE", repr(value)).replace("FAILED", str(failed)))
+    (root / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
+    return root / name
+
+
+def runs_of(side_values: dict) -> dict:
+    return {side: [{"seed": i, "failed": 0,
+                    "metrics": {"throughput_samples_per_s": v, "latency_mean_ms": 100 / v}}
+                   for i, v in enumerate(values)]
+            for side, values in side_values.items()}
+
+
+def test_pairs_alternate_on_one_seed(bench_pairs, tmp_path, capsys):
+    log = tmp_path / "log"
+    parent = checkout(tmp_path, "parent", 100.0, 0, log)
+    change = checkout(tmp_path, "change", 125.0, 1, log)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--pairs", "3", "--seconds", "1", "--seed0", "40"]) == 0
+    assert log.read_text().split("\n") == [
+        "parent 40", "change 40", "change 41", "parent 41",
+        "parent 42", "change 42", ""]
+    out = capsys.readouterr().out.splitlines()
+    assert "| 3/3 |" in next(line for line in out if "throughput" in line)
+    assert "| 3/3 |" in next(line for line in out if "latency" in line)
+    assert "parent failed: 0 over 3 runs" in out
+    assert "change failed: 3 over 3 runs" in out
+    assert [r["seed"] for r in json.loads(out[-1])["runs"]["change"]] == [40, 41, 42]
+
+
+def test_summary_reads_each_metric_in_its_own_direction(bench_pairs):
+    rows = bench_pairs.summarize(
+        runs_of({"parent": [100, 100, 110, 90], "change": [80, 100, 120, 60]}),
+        DECLARED)
+    throughput, latency = rows
+    # pair 2 is a tie and counts for neither side
+    assert (throughput["wins"], latency["wins"]) == (1, 1)
+    assert throughput["parent"] == [97.5, 100.0, 102.5]
+    assert throughput["ratio"] == pytest.approx(90 / 100)
+    assert throughput["beyond_iqr"] and not throughput["worse_than_bound"]
+
+
+def test_summary_flags_a_change_worse_than_its_bound(bench_pairs):
+    rows = bench_pairs.summarize(
+        runs_of({"parent": [100, 100, 100], "change": [70, 70, 70]}), DECLARED)
+    assert all(row["worse_than_bound"] for row in rows)
+    assert all(row["wins"] == 0 for row in rows)
+
+
+def test_a_run_without_a_summary_stops_the_tool(bench_pairs, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("print('no summary')\n")
+    with pytest.raises(SystemExit, match="no JSON summary"):
+        bench_pairs.run_once(tmp_path, "w", 0, 1.0)

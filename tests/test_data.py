@@ -107,6 +107,18 @@ class TestNormalize:
     def test_scaling(self, raw, expected):
         assert normalize(np.array([raw], dtype=np.uint8))[0] == pytest.approx(expected)
 
+    def test_every_byte_keeps_the_bits_of_divide_after_cast(self):
+        raw = np.arange(256, dtype=np.uint8).reshape(16, 4, 4)
+        got = normalize(raw)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, np.asarray(raw, dtype=np.float32) / 255.0)
+
+    def test_float32_input_is_left_unchanged(self):
+        raw = np.arange(256, dtype=np.float32)
+        out = normalize(raw)
+        np.testing.assert_array_equal(raw, np.arange(256, dtype=np.float32))
+        assert not np.shares_memory(out, raw)
+
 
 class TestMakeBatches:
     def test_partition_sizes(self):

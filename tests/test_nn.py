@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import f64_setup, nearest_mean_accuracy
 from oodnet import (Backbone, Centers, TrainConfig, embed, extract_features,
                     grad_check, softmax_xent, synth_blobs, train, train_epoch)
 from oodnet.data import MiniBatch
 from oodnet.errors import LabelOutOfRange, ShapeMismatch
-from oodnet.nn import BLOCK, SGD, Conv2D, Dense, MaxPool2x2, ReLU
+from oodnet.nn import (BLOCK, SGD, Conv2D, Dense, MaxPool2x2, ReLU,
+                       _im2col, _patch_index)
 
 
 # --- independent explicit-loop reference for the forward pass ---
@@ -263,6 +265,25 @@ class TestConv2D:
         np.testing.assert_array_equal(first.dW, layer.dW)
         np.testing.assert_array_equal(first.db, layer.db)
 
+    @pytest.mark.parametrize("b", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("C,H", [(1, 32), (6, 14), (2, 8), (6, 6)])
+    def test_im2col_matches_window_reference(self, C, H, b):
+        # the six-axis window copy the gather replaced
+        x = np.random.default_rng(C * H + b).random((b, C, H, H),
+                                                    dtype=np.float32)
+        win = sliding_window_view(x, (5, 5), axis=(2, 3))
+        Ho = H - 4
+        want = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * Ho * Ho, C * 25)
+        got = _im2col(x, 5)
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.c_contiguous
+
+    def test_patch_index_is_read_only(self):
+        index = _patch_index(6, 14, 14, 5)
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
+        assert _patch_index(6, 14, 14, 5) is index
+
 
 class TestMaxPool:
     def test_ties_match_reference_loop(self):
@@ -317,3 +338,16 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(logits, whole_logits)
         np.testing.assert_array_equal(
             extract_features(small_model, images, batch_size=batch_size), feats)
+
+    @pytest.mark.parametrize("side", [12, 16, 20, 24, 28])
+    def test_batch_invariant_at_every_side(self, side):
+        # the small blocks of sides 16, 20 and 24 are where the GEMM's
+        # operand layout picks the kernel, and with it the rounding
+        model = Backbone(10, input_side=side, seed=0)
+        images = np.random.default_rng(side).random((70, side, side),
+                                                    dtype=np.float32)
+        whole_feats, whole_logits = embed(model, images, batch_size=len(images))
+        for batch_size in [*range(1, 21), 33, 65]:
+            feats, logits = embed(model, images, batch_size=batch_size)
+            np.testing.assert_array_equal(feats, whole_feats)
+            np.testing.assert_array_equal(logits, whole_logits)
