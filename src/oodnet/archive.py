@@ -2,21 +2,24 @@
 
 Layout: magic b"OODN" | u32 LE version | u64 LE header length |
 JSON header | concatenated float32 LE parameter blobs, in header order.
-Partial states (e.g. no head yet) are flagged in the header.
+Partial states (e.g. no head yet) are flagged in the header. Each part
+supplies its own named blobs; the detector also its header object
+(DetectorModel.stored and from_stored).
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .centerloss import Centers
-from .detector import ClassStats, DetectorModel
-from .errors import (BadMagic, CorruptLength, ShapeMismatch, VersionMismatch,
-                     json_list, json_value, parse_json)
+from .detector import DetectorModel
+from .errors import (BadMagic, CorruptLength, VersionMismatch, json_list,
+                     json_value, parse_json)
 from .head import OodHead
 from .nn import Backbone, checked_blob
 
@@ -34,53 +37,29 @@ class ModelState:
     meta: dict = field(default_factory=dict)
 
 
-def _pack_upper(mat: np.ndarray) -> np.ndarray:
-    return mat[np.triu_indices(len(mat))]
-
-
-def _unpack_upper(flat: np.ndarray, d: int) -> np.ndarray:
-    mat = np.zeros((d, d))
-    iu = np.triu_indices(d)
-    mat[iu] = flat
-    mat = mat + mat.T - np.diag(np.diag(mat))
-    return mat
-
-
-def _collect_blobs(state: ModelState):
+def save_model(path, state: ModelState):
     blobs: dict[str, np.ndarray] = dict(state.backbone.state())
     if state.centers is not None:
         blobs["centers"] = state.centers.values
+    detector = None
     if state.detector is not None:
-        for j, cs in enumerate(state.detector.stats):
-            blobs[f"det.mean.{j}"] = cs.mean
-            blobs[f"det.cov_upper.{j}"] = _pack_upper(cs.cov)
-        if state.detector.thresholds is not None:
-            blobs["det.thresholds"] = state.detector.thresholds
+        detector, det_blobs = state.detector.stored()
+        blobs.update(det_blobs)
     if state.head is not None:
         blobs.update(state.head.state())
-    return blobs
-
-
-def save_model(path, state: ModelState):
-    blobs = _collect_blobs(state)
     header = {
         "arch": state.backbone.spec(),
         "has_centers": state.centers is not None,
         "center_rate": state.centers.rate if state.centers else None,
         "has_detector": state.detector is not None,
-        "detector": None,
+        "detector": detector,
         "has_head": state.head is not None,
         "head_tau": state.head.tau if state.head else None,
         "meta": state.meta,
         "blobs": [{"name": k, "shape": list(v.shape)} for k, v in blobs.items()],
     }
-    if state.detector is not None:
-        header["detector"] = {
-            "percentile": state.detector.percentile,
-            "counts": [cs.count for cs in state.detector.stats],
-            "calibrated": state.detector.thresholds is not None,
-        }
     header_bytes = json.dumps(header, sort_keys=True).encode()
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -148,25 +127,8 @@ def load_model(path) -> ModelState:
         state.centers = Centers(n, d, rate=_field(header, "center_rate", float))
         state.centers.values = values.copy()
     if _field(header, "has_detector", bool):
-        det_hdr = _field(header, "detector", dict)
-        counts = _field(det_hdr, "counts", int, "detector", 0, json_list)
-        if len(counts) != n:
-            raise ShapeMismatch(f"detector.counts: {len(counts)} classes, "
-                                f"arch.n_classes {n}")
-        percentile = _field(det_hdr, "percentile", float, "detector")
-        if not 0 < percentile <= 1:
-            raise CorruptLength(f"detector.percentile {percentile} not in (0, 1]")
-        stats = []
-        for j, count in enumerate(counts):
-            mean = checked_blob(blobs, f"det.mean.{j}", (d,)).astype(np.float64)
-            upper = checked_blob(blobs, f"det.cov_upper.{j}", (d * (d + 1) // 2,))
-            cov = _unpack_upper(upper.astype(np.float64), d)
-            stats.append(ClassStats._from_moments(mean, cov, count))
-        det = DetectorModel(stats, percentile=percentile)
-        if _field(det_hdr, "calibrated", bool, "detector"):
-            det.thresholds = checked_blob(blobs, "det.thresholds",
-                                          (n,)).astype(np.float64)
-        state.detector = det
+        state.detector = DetectorModel.from_stored(
+            _field(header, "detector", dict), blobs, n, d)
     if _field(header, "has_head", bool):
         head = OodHead(d, tau=_field(header, "head_tau", float))
         head.load_state(blobs)

@@ -57,7 +57,6 @@ def cmd_train(cfg: RunConfig, args):
     state = ModelState(backbone=model, centers=centers,
                        meta={"lambda": lam, "seed": seed})
     path = _archive_path(cfg, args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     save_model(path, state)
     for i, rec in enumerate(history):
         print(f"epoch {i}: loss={rec.loss:.6f} accuracy={rec.accuracy:.4f}")
@@ -68,7 +67,9 @@ def cmd_calibrate(cfg: RunConfig, args):
     path = _archive_path(cfg, args)
     state = load_model(path)
     main_train = _load_split(cfg.main, "train", anomaly=False)
-    state.detector = run_calibration(state.backbone, main_train, cfg.percentile)
+    state.detector = run_calibration(
+        extract_features(state.backbone, main_train.images), main_train.labels,
+        cfg.percentile)
     save_model(path, state)
     print(f"calibrated {len(state.detector.stats)} classes "
           f"(q={cfg.percentile}); updated {path}")
@@ -96,8 +97,10 @@ def cmd_eval(cfg: RunConfig, args):
                  for key, kind, default in (("lambda", float, cfg.lambdas[0]),
                                             ("seed", int, cfg.seeds[0])))
     main_test = _load_split(cfg.main, "test", anomaly=False)
-    rows = evaluate(state, main_test, anomaly_test, lam, seed).rows()
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    model = state.backbone
+    rows = evaluate(state, *embed(model, main_test.images), main_test.labels,
+                    extract_features(model, anomaly_test.images), lam,
+                    seed).rows()
     csv_path = os.path.join(cfg.output_dir, "eval_metrics.csv")
     write_metrics_csv(rows, csv_path)
     for row in rows:
@@ -128,7 +131,6 @@ def cmd_export_features(cfg: RunConfig, args):
     state = load_model(_archive_path(cfg, args))
     main_test = _load_split(cfg.main, "test", anomaly=False)
     feats = extract_features(state.backbone, main_test.images)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "features.csv")
     write_csv(path, [f"f{i}" for i in range(feats.shape[1])] + ["label"],
               (row + [label] for row, label in zip(feats.tolist(),

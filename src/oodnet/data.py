@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,19 +146,20 @@ def split_classes(ds: LabeledDataset, keep, relabel: bool = False) -> LabeledDat
 
 
 def make_batches(ds: LabeledDataset, m: int, seed: int = 0,
-                 shuffle: bool = True) -> list[MiniBatch]:
+                 shuffle: bool = True) -> Iterator[MiniBatch]:
     """Partition one epoch of the dataset into batches of size m.
 
     The permutation is a pure function of the seed; the final batch may
-    be short. shuffle off preserves the stored order.
+    be short. shuffle off preserves the stored order. m is checked and the
+    order drawn at the call; each batch is copied out as it is drawn.
     """
     if m < 1:
         raise ValueError("batch size must be >= 1")
     order = np.arange(len(ds))
     if shuffle:
         np.random.default_rng(seed).shuffle(order)
-    return [MiniBatch(ds.images[order[i:i + m]], ds.labels[order[i:i + m]])
-            for i in range(0, len(order), m)]
+    return (MiniBatch(ds.images[order[i:i + m]], ds.labels[order[i:i + m]])
+            for i in range(0, len(order), m))
 
 
 def _class_layout(n_classes: int, side: float, separation: float,

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lapack
 
-from .errors import (DegenerateClass, DimMismatch, FactorizationFailure,
-                     NonFiniteFeature, NotCalibrated)
+from .errors import (CorruptLength, DegenerateClass, DimMismatch,
+                     FactorizationFailure, NonFiniteFeature, NotCalibrated,
+                     ShapeMismatch, json_list, json_value)
+from .nn import checked_blob, extract_features
 
 DEFAULT_PERCENTILE = 0.975
 # features per GEMM in distances_many; bounds the (rows, n*d) product
@@ -158,18 +160,56 @@ class DetectorModel:
         self.thresholds = thresholds
         return thresholds
 
-    def snap32(self):
-        """Round all statistics to float32-representable values so a
-        saved archive reloads to a bit-identical detector."""
-        def snap(a):
-            return np.asarray(a).astype(np.float32).astype(np.float64)
-
-        self.stats = [ClassStats._from_moments(snap(s.mean), snap(s.cov),
-                                               s.count)
-                      for s in self.stats]
-        self._stack_maps()
+    def stored(self) -> tuple[dict, dict]:
+        """-> (archive header, float32 blobs): each class's mean and upper
+        covariance triangle, then the thresholds once calibrated."""
+        upper = np.triu_indices(len(self.stats[0].mean))
+        blobs = {}
+        for j, s in enumerate(self.stats):
+            blobs[f"det.mean.{j}"] = s.mean.astype(np.float32)
+            blobs[f"det.cov_upper.{j}"] = s.cov[upper].astype(np.float32)
         if self.thresholds is not None:
-            self.thresholds = snap(self.thresholds)
+            blobs["det.thresholds"] = self.thresholds.astype(np.float32)
+        header = {"percentile": self.percentile,
+                  "counts": [s.count for s in self.stats],
+                  "calibrated": self.thresholds is not None}
+        return header, blobs
+
+    @classmethod
+    def from_stored(cls, header, blobs, n: int, d: int) -> "DetectorModel":
+        """Inverse of stored() for n classes of d features. A bad header
+        value is CorruptLength; a class count other than n, or a missing or
+        misshapen blob, is ShapeMismatch."""
+        def field(key, kind, least=None, read=json_value):
+            return read(header.get(key), kind, f"detector.{key}",
+                        CorruptLength, least)
+
+        counts = field("counts", int, 0, json_list)
+        if len(counts) != n:
+            raise ShapeMismatch(f"detector.counts: {len(counts)} classes, "
+                                f"arch.n_classes {n}")
+        percentile = field("percentile", float)
+        if not 0 < percentile <= 1:
+            raise CorruptLength(f"detector.percentile {percentile} not in (0, 1]")
+        upper = np.triu_indices(d)
+        stats = []
+        for j, count in enumerate(counts):
+            mean = checked_blob(blobs, f"det.mean.{j}", (d,)).astype(np.float64)
+            cov = np.empty((d, d))
+            cov[upper] = cov[upper[::-1]] = checked_blob(
+                blobs, f"det.cov_upper.{j}", (len(upper[0]),))
+            stats.append(ClassStats._from_moments(mean, cov, count))
+        det = cls(stats, percentile)
+        if field("calibrated", bool):
+            det.thresholds = checked_blob(blobs, "det.thresholds",
+                                          (n,)).astype(np.float64)
+        return det
+
+    def snap32(self):
+        """Take, in place, the state this detector reloads to from its
+        stored float32 form: what a run evaluates is what its archive holds."""
+        vars(self).update(vars(self.from_stored(
+            *self.stored(), self.n_classes, len(self.stats[0].mean))))
         return self
 
     def is_normal(self, x: np.ndarray) -> bool:
@@ -194,7 +234,5 @@ class DetectorModel:
 def detect(det: DetectorModel, model, image: np.ndarray) -> bool:
     """Full-image criterion: embed through the backbone, then accept if
     any class distance is inside its threshold. False marks anomalous."""
-    from .nn import extract_features
-
     feats = extract_features(model, image)
     return det.is_normal(feats[0])

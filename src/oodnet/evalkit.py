@@ -3,6 +3,7 @@ and the one CSV writer behind every CSV the toolkit emits."""
 from __future__ import annotations
 
 import csv
+import os
 from statistics import median
 
 import numpy as np
@@ -138,7 +139,9 @@ def _fmt(value) -> str:
 def write_csv(path, columns, rows):
     """A header line of columns, then one line per row of cells: '' for
     None, the round-trip repr of a float, str of anything else. Pass
-    Python floats: a numpy float's repr names its type."""
+    Python floats: a numpy float's repr names its type. The file's
+    directory is made if it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

@@ -1,6 +1,7 @@
 """Experiment orchestration: JSON config, staged pipeline
 (train -> calibrate -> train-head -> evaluate), and the full sweep
-over balancing coefficients and seeds."""
+over balancing coefficients and seeds. Every stage after training takes
+features: the caller embeds each split once and hands them on."""
 from __future__ import annotations
 
 import os
@@ -17,7 +18,7 @@ from .errors import ConfigError, json_list, json_value
 from .evalkit import (confusion, f1, pca2, roc, write_median_csv,
                       write_metrics_csv, write_projection_csv, write_roc_csv)
 from .head import HeadTrainConfig, OodHead, train_head_on_features
-from .nn import Backbone, TrainConfig, embed, extract_features, train
+from .nn import Backbone, TrainConfig, embed, train
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -173,12 +174,7 @@ def run_stage_one(main_train, lam: float, seed: int, cfg: RunConfig):
     return model, centers, history
 
 
-def run_calibration(model, main_train, percentile: float) -> DetectorModel:
-    return calibrate_on_features(extract_features(model, main_train.images),
-                                 main_train.labels, percentile)
-
-
-def calibrate_on_features(feats, labels, percentile: float) -> DetectorModel:
+def run_calibration(feats, labels, percentile: float) -> DetectorModel:
     det = DetectorModel(fit_stats(feats, labels), percentile)
     det.calibrate(feats, labels)
     # float32-snapped so evaluation after an archive round trip is bit-equal
@@ -217,15 +213,8 @@ class CellResult:
                  "f1": f1_, "auc": auc} for method, f1_, auc in rows]
 
 
-def evaluate(state: ModelState, main_test, anomaly_test, lam: float,
-             seed: int) -> CellResult:
-    return evaluate_on_features(
-        state, *embed(state.backbone, main_test.images), main_test.labels,
-        extract_features(state.backbone, anomaly_test.images), lam, seed)
-
-
-def evaluate_on_features(state: ModelState, feats_in, logits_in, labels_in,
-                         feats_out, lam: float, seed: int) -> CellResult:
+def evaluate(state: ModelState, feats_in, logits_in, labels_in, feats_out,
+             lam: float, seed: int) -> CellResult:
     """Classification F1 on the main test split, and both detectors'
     F1 and ROC with the anomaly test split as the positive class."""
     n = state.backbone.n_classes
@@ -276,21 +265,20 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
             feats_train, _ = embed(model, main_train.images)
             feats_in, logits_in = embed(model, main_test.images)
             feats_out, _ = embed(model, anomaly_test.images)
-            det = calibrate_on_features(feats_train, main_train.labels,
-                                        cfg.percentile)
+            det = run_calibration(feats_train, main_train.labels,
+                                  cfg.percentile)
             state = ModelState(backbone=model, centers=centers, detector=det,
                                meta={"lambda": lam, "seed": seed,
                                      "trained_on": main_train.role})
             if len(anomaly_train):
                 state.head = run_stage_two(
                     feats_train, embed(model, anomaly_train.images)[0], seed, cfg)
-            cell = evaluate_on_features(state, feats_in, logits_in,
-                                        main_test.labels, feats_out, lam, seed)
+            cell = evaluate(state, feats_in, logits_in, main_test.labels,
+                            feats_out, lam, seed)
             results.append(cell)
             metric_rows.extend(cell.rows())
 
             tag = _tag(lam, seed)
-            os.makedirs(cfg.output_dir, exist_ok=True)
             save_model(os.path.join(cfg.output_dir, f"model_{tag}.oodn"), state)
             write_roc_csv(cell.semi_roc,
                           os.path.join(cfg.output_dir, f"roc_semi_{tag}.csv"))

@@ -473,12 +473,13 @@ def train_epoch(model: Backbone, centers, ds: LabeledDataset,
     seed = cfg.seed if epoch_seed is None else epoch_seed
     total_loss = 0.0
     total_correct = 0
-    for batch in make_batches(ds, cfg.batch_size, seed=seed, shuffle=True):
+    for i, batch in enumerate(make_batches(ds, cfg.batch_size, seed=seed)):
         m = len(batch)
         loss, logits, dlogits, dfeat, deltas = loss_and_grads(
             model, centers, batch, cfg.lam)
         if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss={loss} on batch of {m}")
+            raise NonFiniteLoss(f"loss={loss} on batch {i} ({m} samples) of "
+                                f"the epoch with seed {seed}")
         model.backward(dlogits / m,
                        None if dfeat is None else (cfg.lam / m) * dfeat)
         optimizer.step(model.gradients())

@@ -16,8 +16,8 @@ import pytest
 
 from conftest import f64_setup
 from oodnet import (Backbone, Centers, ClassStats, DetectorModel, OodHead,
-                    TrainConfig, confusion, extract_features, f1, fit_stats,
-                    grad_check, pca2, roc, split_classes, train)
+                    TrainConfig, confusion, embed, extract_features, f1,
+                    fit_stats, grad_check, pca2, roc, split_classes, train)
 from oodnet.archive import load_model
 from oodnet.data import load_idx_dataset
 from oodnet.experiment import (RunConfig, _load_split, evaluate,
@@ -102,7 +102,8 @@ def train_cell(split_name, lam, seed, epochs=3, with_head=False):
     centers = Centers(main_train.n_classes, model.feature_dim, seed=seed)
     train(model, centers, main_train,
           TrainConfig(epochs=epochs, lam=lam, seed=seed))
-    det = run_calibration(model, main_train, 0.975)
+    det = run_calibration(extract_features(model, main_train.images),
+                          main_train.labels, 0.975)
 
     feats_in = extract_features(model, main_test.images)
     preds = np.concatenate([
@@ -387,7 +388,9 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     main_test = _load_split(cfg.main, "test", anomaly=False)
     anom_test = _load_split(cfg.anomaly, "test", anomaly=True)
     state = load_model(tmp_path / "out" / "model_lam1_seed0.oodn")
-    cell = evaluate(state, main_test, anom_test, 1.0, 0)
+    cell = evaluate(state, *embed(state.backbone, main_test.images),
+                    main_test.labels,
+                    extract_features(state.backbone, anom_test.images), 1.0, 0)
     ref = next(r for r in results if r.lam == 1.0)
     reload_ok = (cell.classification_f1 == ref.classification_f1
                  and cell.semi_f1 == ref.semi_f1

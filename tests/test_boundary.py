@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -376,6 +377,26 @@ def test_train_with_a_non_finite_loss_exits_1_writing_nothing(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "error [train]: loss=nan" in err and not out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_loss_names_its_batch_and_epoch_seed(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, synth_config(
+        tmp_path, seeds=(5,), lambdas=(1e300,), epochs=1))
+    assert main(["train", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"batch \d+", err) and "seed 5" in err
+
+
+@pytest.mark.parametrize("top", ["[]", "3", "null", '"x"'])
+def test_a_config_that_is_not_an_object_exits_1_writing_nothing(tmp_path,
+                                                                capsys, top):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(top)
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "error [train]: config: expected an object" in err and not out
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def leaves(obj, prefix=""):

@@ -16,7 +16,7 @@ from oodnet.errors import (BadMagic, ConfigError, CorruptLength,
 from oodnet.experiment import (RunConfig, _load_split, evaluate,
                                run_experiment)
 from oodnet.head import OodHead, classify_ood
-from oodnet.nn import Backbone, extract_features
+from oodnet.nn import Backbone, embed, extract_features
 
 
 def full_state(seed=0):
@@ -294,7 +294,10 @@ class TestRunExperiment:
         anomaly_test = _load_split(cfg.anomaly, "test", anomaly=True)
         archive = tmp_path / "out" / "model_lam0_seed0.oodn"
         state = load_model(archive)
-        cell = evaluate(state, main_test, anomaly_test, 0.0, 0)
+        cell = evaluate(state, *embed(state.backbone, main_test.images),
+                        main_test.labels,
+                        extract_features(state.backbone, anomaly_test.images),
+                        0.0, 0)
         ref = results[0]
         assert cell.classification_f1 == ref.classification_f1
         assert cell.semi_f1 == ref.semi_f1
@@ -372,6 +375,14 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "classification" in out and "semi-supervised" in out
         assert (tmp_path / "out" / "eval_metrics.csv").exists()
+
+    def test_train_makes_only_the_archive_directory(self, tmp_path):
+        cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=1))
+        archive = tmp_path / "new" / "m.oodn"
+        assert main(["train", "--config", cfg_path,
+                     "--model", str(archive)]) == 0
+        assert load_model(archive).centers is not None
+        assert not (tmp_path / "out").exists()
 
     def test_score_command(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=2))

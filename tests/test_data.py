@@ -139,6 +139,13 @@ class TestMakeBatches:
         np.testing.assert_array_equal(
             np.concatenate([b.images for b in batches]), ds.images)
 
+    def test_checks_m_at_the_call_and_yields_lazily(self):
+        ds = make_ds(np.arange(6) % 2)
+        with pytest.raises(ValueError):
+            make_batches(ds, 0)
+        batches = make_batches(ds, 4)
+        assert iter(batches) is batches
+
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_each_sample_exactly_once(self, seed):
         ds = make_ds(np.arange(11) % 3)

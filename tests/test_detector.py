@@ -4,7 +4,7 @@ import pytest
 from oodnet import ClassStats, DetectorModel, detector, fit_stats
 from oodnet.archive import ModelState, load_model, save_model
 from oodnet.errors import (DegenerateClass, DimMismatch, FactorizationFailure,
-                           NonFiniteFeature, NotCalibrated)
+                           NonFiniteFeature, NotCalibrated, ShapeMismatch)
 from oodnet.nn import Backbone
 
 
@@ -322,3 +322,11 @@ class TestDistanceKernel:
         assert calls == []
         det.stats[0].mahalanobis(xs[0])  # the reference path is counted
         assert calls == [1]
+
+
+class TestStoredForm:
+    @pytest.mark.parametrize("counts", [[60] * 2, [60] * 4])
+    def test_a_class_count_other_than_n_raises_before_any_blob(self, counts):
+        header = {"percentile": 0.975, "counts": counts, "calibrated": True}
+        with pytest.raises(ShapeMismatch, match="detector.counts"):
+            DetectorModel.from_stored(header, {}, 3, 3)

@@ -129,6 +129,12 @@ class TestForward:
         model = Backbone(n, input_side=side, feature_dim=d, seed=0)
         assert Backbone.spec_of(model.state()) == model.spec()
 
+    def test_spec_of_without_fc1_raises_shape_mismatch(self):
+        arrays = Backbone(3, input_side=12, seed=0).state()
+        del arrays["fc1.W"]
+        with pytest.raises(ShapeMismatch):
+            Backbone.spec_of(arrays)
+
     def test_pure_function_of_inputs(self):
         model = Backbone(3, input_side=12, seed=0)
         images = np.random.default_rng(2).random((3, 12, 12)).astype(np.float32)
