@@ -4,13 +4,12 @@ features, percentile thresholds, and the any-class acceptance criterion.
 Each class keeps a whitening map L^-1 from the Cholesky factor L of its
 regularized covariance, so its Mahalanobis distance is |L^-1 (x - mu)|.
 The detector stacks every class's map into one (d, n*d) matrix and
-scores all classes with one GEMM per block of 256 rows."""
+scores all classes of a row with one product of that row alone."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lapack
 
 from .errors import (CorruptLength, DegenerateClass, DimMismatch,
                      FactorizationFailure, NonFiniteFeature, NotCalibrated,
@@ -18,7 +17,7 @@ from .errors import (CorruptLength, DegenerateClass, DimMismatch,
 from .nn import checked_blob, extract_features
 
 DEFAULT_PERCENTILE = 0.975
-# features per GEMM in distances_many; bounds the (rows, n*d) product
+# features per block in distances_many; bounds the (rows, n*d) product
 BLOCK_ROWS = 256
 
 
@@ -28,16 +27,20 @@ def _check_rows(xs: np.ndarray, d: int):
         raise DimMismatch(f"expected (m, {d}) feature rows, got {xs.shape}")
 
 
+def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 b for the lower Cholesky factor L, by two solves."""
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+
 @dataclass
 class ClassStats:
-    """Gaussian fit of one class: mean, covariance, the Cholesky
-    factorization of the regularized covariance and its whitening map
-    L^-1."""
+    """Gaussian fit of one class: mean, covariance, the lower Cholesky
+    factor L of the regularized covariance and its whitening map L^-1."""
     mean: np.ndarray
     cov: np.ndarray
     count: int
     epsilon: float
-    _factor: tuple = None
+    _factor: np.ndarray = None
     whiten: np.ndarray = None
 
     @classmethod
@@ -56,13 +59,12 @@ class ClassStats:
         d = len(mean)
         eps = 1e-6 * float(np.trace(cov)) / d
         try:
-            factor = cho_factor(cov + eps * np.eye(d), lower=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:   # ValueError: NaN or inf
+            factor = np.linalg.cholesky(cov + eps * np.eye(d))
+        except np.linalg.LinAlgError as exc:
             raise FactorizationFailure(str(exc)) from exc
-        # LAPACK's triangular inverse: solve_triangular against the
-        # identity took ~7 ms per class right after a numpy GEMM (scipy's
-        # BLAS threads contend with numpy's), trtri ~0.1 ms
-        whiten = np.tril(lapack.dtrtri(factor[0], lower=1)[0])
+        if not np.isfinite(factor).all():   # numpy passes NaN and inf through
+            raise FactorizationFailure("covariance holds NaN or inf")
+        whiten = np.tril(np.linalg.inv(factor))
         return cls(mean=mean, cov=cov, count=count, epsilon=eps,
                    _factor=factor, whiten=whiten)
 
@@ -106,19 +108,16 @@ class DetectorModel:
         their offsets L^-1 mu into one (n*d,) vector."""
         d = len(self.stats[0].mean)
         self._maps = np.concatenate([s.whiten.T for s in self.stats], axis=1)
-        # the offsets go through the same GEMM as the features, so a
+        # the offsets go through the same product as the features, so a
         # feature equal to a class mean is at distance 0.0 exactly
         projected = self._whiten_rows(np.stack([s.mean for s in self.stats]))
         self._offsets = np.concatenate(
             [projected[j, j * d:(j + 1) * d] for j in range(self.n_classes)])
 
     def _whiten_rows(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ maps. numpy sends a one-row product to GEMV, which rounds
-        differently from GEMM, so one row is padded to two: a feature's
-        distances are then the same bits at any batch size."""
-        if len(rows) == 1:
-            return (np.concatenate([rows, rows]) @ self._maps)[:1]
-        return rows @ self._maps
+        """rows @ maps as one GEMV per row. A GEMM over the rows picks its
+        kernel by row count and thread count, and with it the rounding."""
+        return np.matmul(rows[:, None, :], self._maps)[:, 0]
 
     @property
     def n_classes(self):
@@ -129,7 +128,7 @@ class DetectorModel:
         return self.distances_many(np.atleast_2d(x))[0]
 
     def distances_many(self, xs: np.ndarray) -> np.ndarray:
-        """(M, n_classes) distance matrix, one GEMM per block of rows."""
+        """(M, n_classes) distance matrix, in blocks of BLOCK_ROWS rows."""
         xs = np.asarray(xs)
         n, d = self.n_classes, self._maps.shape[0]
         _check_rows(xs, d)

@@ -2,12 +2,12 @@
 JSON it reads from outside (config files, archive headers).
 
 The rule for such a JSON value: a bool stands only for bool, an integer
-is accepted where a float is expected, a float must be finite, and a
-number may have to reach a least value. Each reader raises the error
-type it is given: ConfigError for a config, CorruptLength for an archive.
+or float where a float is expected must be a finite float, and a number
+may have to reach a least value. Each reader raises the error type it
+is given: ConfigError for a config, CorruptLength for an archive.
 """
 import json
-import math
+import sys
 
 
 class OodnetError(Exception):
@@ -110,7 +110,8 @@ def json_value(value, kind: type, where: str, error: type, least=None):
     """value, which must be a JSON value of kind and, given least, >= least."""
     kinds = (int, float) if kind is float else kind
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds)
-            or isinstance(value, float) and not math.isfinite(value)):
+            # NaN, inf, or an integer past the float range
+            or kind is float and not abs(value) <= sys.float_info.max):
         name = "a finite number" if kind is float else kind.__name__
         raise error(f"{where}: expected {name}, got {value!r}")
     if least is not None and value < least:

@@ -129,11 +129,15 @@ def set_literal(path, dotted: str, literal: str):
     path.write_bytes(with_header(data, text.encode()))
 
 
+PAST_FLOAT = 10**400   # an integer that no float holds
+
 # header values the shared JSON rule rejects: a non-finite number, a count
 # that is not an integer >= 0, an arch the blob shapes do not imply
 BAD_HEADER_VALUES = [
     ("head_tau", "NaN"), ("head_tau", "Infinity"), ("head_tau", "-Infinity"),
     ("head_tau", "1e999"), ("center_rate", "NaN"),
+    *(pytest.param(key, str(PAST_FLOAT), id=f"{key}-int_past_float")
+      for key in ("head_tau", "center_rate")),
     ("detector.counts", '["x", null, true]'), ("detector.counts", "[-5, -5, -5]"),
     ("arch.n_classes", str(10**13)), ("arch.feature_dim", "85"),
     ("arch.input_side", "16"),
@@ -182,7 +186,8 @@ def test_eval_of_a_bad_meta_value_exits_1_writing_nothing(
 
 
 @pytest.mark.parametrize("literal", ["0.5", "1", "true", '"0.5"', "null", "NaN",
-                                     "Infinity", "1e999"])
+                                     "Infinity", "1e999", pytest.param(
+                                         str(PAST_FLOAT), id="int_past_float")])
 def test_tau_and_head_tau_accept_the_same_scalars(tmp_path, literal):
     """The config's tau and the archive header's head_tau are read by one
     rule: of these JSON scalars both accept 0.5 and 1, and nothing else."""
@@ -321,6 +326,9 @@ CONFIG_FAULTS = [
     ("train.epochs", "3"),
     ("head_train.epochs", -1),
     ("data.main.relabel", "no"),
+    pytest.param("lambdas", [PAST_FLOAT], id="lambdas-int_past_float"),
+    *(pytest.param(key, PAST_FLOAT, id=f"{key}-int_past_float") for key in
+      ("percentile", "tau", "train.learning_rate", "train.momentum")),
 ]
 
 

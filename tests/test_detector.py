@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,9 +89,13 @@ class TestMahalanobis:
         with pytest.raises(DimMismatch):
             stats.mahalanobis(np.zeros(3))
 
-    def test_negative_definite_covariance_fails_to_factor(self):
+    @pytest.mark.parametrize("cov", [
+        -np.eye(3), np.diag([1.0, np.nan, 1.0]), np.diag([1.0, np.inf, 1.0])],
+        ids=["negative", "nan", "inf"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # eps * I at inf
+    def test_negative_definite_covariance_fails_to_factor(self, cov):
         with pytest.raises(FactorizationFailure):
-            ClassStats._from_moments(np.zeros(3), -np.eye(3), 10)
+            ClassStats._from_moments(np.zeros(3), cov, 10)
 
     @pytest.mark.parametrize("d", [2, 5, 10])
     def test_factorized_solve_matches_explicit_inverse(self, d):
@@ -222,17 +231,20 @@ class TestAnomalyScore:
 
 
 class TestDistanceKernel:
-    """The stacked whitening GEMM at the reference shape: 10 classes, 84-d."""
+    """The stacked whitening product at the reference shape: 84-d, 10
+    classes unless a test asks for another count."""
 
     @pytest.fixture(scope="class")
-    def calibrated(self):
+    def calibrated(self, request):
         rng = np.random.default_rng(8)
-        det, feats, labels = fitted_detector(rng, n_classes=10, d=84,
-                                             per_class=100)
+        det, feats, labels = fitted_detector(
+            rng, n_classes=getattr(request, "param", 10), d=84, per_class=100)
         det.calibrate(feats, labels)
         xs = (rng.normal(size=(600, 84)) * 6).astype(np.float32)
         return det, xs
 
+    @pytest.mark.parametrize("calibrated", range(2, 11), indirect=True,
+                             ids=lambda n: f"{n}classes")
     def test_single_row_equals_its_row_in_any_batch(self, calibrated):
         det, xs = calibrated
         singles = np.stack([det.distances(x) for x in xs])
@@ -330,3 +342,43 @@ class TestStoredForm:
         header = {"percentile": 0.975, "counts": counts, "calibrated": True}
         with pytest.raises(ShapeMismatch, match="detector.counts"):
             DetectorModel.from_stored(header, {}, 3, 3)
+
+
+# one fresh interpreter per run: OpenBLAS reads its thread count at load
+SRC = Path(__file__).resolve().parent.parent / "src"
+DISTANCE_HASH = """
+import hashlib, sys
+import numpy as np
+from test_detector import fitted_detector
+rng = np.random.default_rng(8)
+det, feats, labels = fitted_detector(rng, n_classes=int(sys.argv[1]), d=84,
+                                     per_class=100)
+det.calibrate(feats, labels)
+xs = rng.normal(size=(300, 84)) * 6
+print(hashlib.sha256(det.distances_many(xs).tobytes()
+                     + det.thresholds.tobytes()).hexdigest())
+"""
+
+
+def fresh_python(code, *args, **env):
+    """stdout of code run by a new interpreter that imports oodnet from
+    src/ and these tests. OPENBLAS_NUM_THREADS is unset (OpenBLAS's
+    default) unless env sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = os.pathsep.join([str(SRC), str(Path(__file__).parent)])
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True,
+                          env={**base, "PYTHONPATH": path, **env}).stdout
+
+
+@pytest.mark.parametrize("n_classes", [3, 9, 10])
+def test_distances_and_thresholds_are_the_same_bits_at_one_blas_thread(
+        n_classes):
+    default = fresh_python(DISTANCE_HASH, str(n_classes))
+    one = fresh_python(DISTANCE_HASH, str(n_classes), OPENBLAS_NUM_THREADS="1")
+    assert one == default
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, oodnet.cli; print('scipy' in sys.modules)"
+    assert fresh_python(code).split() == ["False"]
