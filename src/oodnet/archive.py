@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centerloss import Centers
-from .detector import DetectorModel
+from .detector import DetectorModel, check_class_count
 from .errors import (BadMagic, CorruptLength, VersionMismatch, json_list,
                      json_value, parse_json)
 from .head import OodHead
@@ -43,6 +43,7 @@ def save_model(path, state: ModelState):
         blobs["centers"] = state.centers.values
     detector = None
     if state.detector is not None:
+        check_class_count(state.detector.n_classes, state.backbone.n_classes)
         detector, det_blobs = state.detector.stored()
         blobs.update(det_blobs)
     if state.head is not None:

@@ -15,9 +15,9 @@ class Centers:
     """
 
     def __init__(self, n_classes: int, dim: int, rate: float = 0.5,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.values = (rng.standard_normal((n_classes, dim)) * 0.1).astype(dtype)
+        self.values = (rng.standard_normal((n_classes, dim)) * 0.1).astype(np.float32)
         self.rate = rate
 
     @property

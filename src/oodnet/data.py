@@ -145,19 +145,17 @@ def split_classes(ds: LabeledDataset, keep, relabel: bool = False) -> LabeledDat
     return LabeledDataset(ds.images[mask].copy(), labels, mapping, ds.role)
 
 
-def make_batches(ds: LabeledDataset, m: int, seed: int = 0,
-                 shuffle: bool = True) -> Iterator[MiniBatch]:
-    """Partition one epoch of the dataset into batches of size m.
+def make_batches(ds: LabeledDataset, m: int, seed: int = 0) -> Iterator[MiniBatch]:
+    """Partition one shuffled epoch of the dataset into batches of size m.
 
     The permutation is a pure function of the seed; the final batch may
-    be short. shuffle off preserves the stored order. m is checked and the
-    order drawn at the call; each batch is copied out as it is drawn.
+    be short. m is checked and the order drawn at the call; each batch is
+    copied out as it is drawn.
     """
     if m < 1:
         raise ValueError("batch size must be >= 1")
     order = np.arange(len(ds))
-    if shuffle:
-        np.random.default_rng(seed).shuffle(order)
+    np.random.default_rng(seed).shuffle(order)
     return (MiniBatch(ds.images[order[i:i + m]], ds.labels[order[i:i + m]])
             for i in range(0, len(order), m))
 
@@ -175,9 +173,9 @@ def _class_layout(n_classes: int, side: float, separation: float,
 
 def synth_blobs(n_classes: int, per_class: int, side: int = 12,
                 separation: float = 3.0, seed: int = 0,
-                role: str = ROLE_MAIN_TRAIN, layout_seed: int = 0,
-                noise: float = 0.05) -> LabeledDataset:
-    """Generate a dataset of bright Gaussian blobs, one location per class.
+                role: str = ROLE_MAIN_TRAIN, layout_seed: int = 0) -> LabeledDataset:
+    """Generate a dataset of bright Gaussian blobs, one location per class,
+    plus Gaussian pixel noise of standard deviation 0.05.
 
     layout_seed picks where class blobs sit, independently of the sample
     seed, so an anomaly set can be drawn from a disjoint layout.
@@ -189,7 +187,7 @@ def synth_blobs(n_classes: int, per_class: int, side: int = 12,
     rng = np.random.default_rng(seed)
     centers = _class_layout(n_classes, side, separation, layout_seed)
     yy, xx = np.mgrid[0:side, 0:side].astype(np.float32)
-    sigma = 1.2
+    sigma, noise = 1.2, 0.05
     images = np.empty((n_classes * per_class, side, side), dtype=np.float32)
     labels = np.empty(n_classes * per_class, dtype=np.int64)
     k = 0

@@ -27,6 +27,14 @@ def _check_rows(xs: np.ndarray, d: int):
         raise DimMismatch(f"expected (m, {d}) feature rows, got {xs.shape}")
 
 
+def check_class_count(count: int, n: int):
+    """An archive's detector holds one class per backbone class: the rule
+    from_stored applies on load and archive.save_model before it writes."""
+    if count != n:
+        raise ShapeMismatch(f"detector.counts: {count} classes, "
+                            f"arch.n_classes {n}")
+
+
 def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(L L^T)^-1 b for the lower Cholesky factor L, by two solves."""
     return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
@@ -184,9 +192,7 @@ class DetectorModel:
                         CorruptLength, least)
 
         counts = field("counts", int, 0, json_list)
-        if len(counts) != n:
-            raise ShapeMismatch(f"detector.counts: {len(counts)} classes, "
-                                f"arch.n_classes {n}")
+        check_class_count(len(counts), n)
         percentile = field("percentile", float)
         if not 0 < percentile <= 1:
             raise CorruptLength(f"detector.percentile {percentile} not in (0, 1]")

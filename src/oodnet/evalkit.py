@@ -33,13 +33,13 @@ def _f1_for_class(counts: np.ndarray, j: int) -> float:
     return float(2 * tp / (2 * tp + fp + fn))
 
 
-def f1(counts: np.ndarray, mode: str = "macro", positive: int = 1) -> float:
-    """binary-positive: F1 of one class; macro: unweighted per-class mean."""
+def f1(counts: np.ndarray, mode: str = "macro") -> float:
+    """binary-positive: F1 of class 1; macro: unweighted per-class mean."""
     counts = np.asarray(counts)
     if counts.sum() == 0:
         raise ValueError("empty confusion counts")
     if mode == "binary-positive":
-        return _f1_for_class(counts, positive)
+        return _f1_for_class(counts, 1)
     if mode == "macro":
         return float(np.mean([_f1_for_class(counts, j)
                               for j in range(len(counts))]))
@@ -94,18 +94,16 @@ def roc(scores, is_anomalous, higher_is_anomalous: bool = True) -> RocCurve:
     return RocCurve(np.stack([fpr, tpr, thresholds], axis=1), auc)
 
 
-def pca2(features: np.ndarray, centroids: np.ndarray | None = None):
+def pca2(features: np.ndarray):
     """Top-2 principal directions of the centered feature matrix.
 
-    Returns (components (2, d), projections (M, 2), projected centroids
-    or None). Component sign is fixed so the largest-magnitude entry of
-    each component is positive.
+    Returns (components (2, d), projections (M, 2)). Component sign is
+    fixed so the largest-magnitude entry of each component is positive.
     """
     X = np.asarray(features, dtype=np.float64)
     if len(X) < 2:
         raise DegenerateInput("need at least 2 samples")
-    mean = X.mean(axis=0)
-    Xc = X - mean
+    Xc = X - X.mean(axis=0)
     _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
     if s[0] == 0:
         raise DegenerateInput("all features identical")
@@ -115,11 +113,7 @@ def pca2(features: np.ndarray, centroids: np.ndarray | None = None):
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1
-    proj = Xc @ components.T
-    proj_centroids = None
-    if centroids is not None:
-        proj_centroids = (np.asarray(centroids, dtype=np.float64) - mean) @ components.T
-    return components, proj, proj_centroids
+    return components, Xc @ components.T
 
 
 # ---------------------------------------------------------------------------

@@ -213,36 +213,31 @@ class CellResult:
                  "f1": f1_, "auc": auc} for method, f1_, auc in rows]
 
 
+def _ood_metrics(accepted, scores, is_ood, higher_is_anomalous: bool):
+    """(F1 at the verdicts, AUC, ROC over the scores) of one OOD detector,
+    with the anomalies (is_ood) as the positive class."""
+    curve = roc(scores, is_ood, higher_is_anomalous)
+    return f1(confusion(is_ood, ~accepted, 2), "binary-positive"), curve.auc, curve
+
+
 def evaluate(state: ModelState, feats_in, logits_in, labels_in, feats_out,
              lam: float, seed: int) -> CellResult:
     """Classification F1 on the main test split, and both detectors'
     F1 and ROC with the anomaly test split as the positive class."""
     n = state.backbone.n_classes
     cls_f1 = f1(confusion(labels_in, logits_in.argmax(axis=1), n), "macro")
-
     feats_all = np.concatenate([feats_in, feats_out])
-    is_ood = np.concatenate([np.zeros(len(feats_in), dtype=bool),
-                             np.ones(len(feats_out), dtype=bool)])
-
-    det = state.detector
-    accepted = det.is_normal_many(feats_all)
-    ood_pred = (~accepted).astype(int)
-    semi_counts = confusion(is_ood.astype(int), ood_pred, 2)
-    semi_f1 = f1(semi_counts, "binary-positive", positive=1)
-    scores = det.anomaly_score_many(feats_all)
-    semi_roc = roc(scores, is_ood, higher_is_anomalous=True)
-
-    result = CellResult(lam=lam, seed=seed, classification_f1=cls_f1,
-                        semi_f1=semi_f1, semi_auc=semi_roc.auc,
-                        semi_roc=semi_roc)
-    if state.head is not None:
-        p = state.head.forward_many(feats_all)
-        sup_pred = (~state.head.accepts(p)).astype(int)
-        sup_counts = confusion(is_ood.astype(int), sup_pred, 2)
-        result.sup_f1 = f1(sup_counts, "binary-positive", positive=1)
-        result.sup_roc = roc(p, is_ood, higher_is_anomalous=False)
-        result.sup_auc = result.sup_roc.auc
-    return result
+    is_ood = np.arange(len(feats_all)) >= len(feats_in)
+    det, head = state.detector, state.head
+    semi = _ood_metrics(det.is_normal_many(feats_all),
+                        det.anomaly_score_many(feats_all), is_ood,
+                        higher_is_anomalous=True)
+    sup = ()
+    if head is not None:
+        p = head.forward_many(feats_all)
+        sup = _ood_metrics(head.accepts(p), p, is_ood, higher_is_anomalous=False)
+    # CellResult's fields: semi_f1, semi_auc, semi_roc, then the sup_ ones
+    return CellResult(lam, seed, cls_f1, *semi, *sup)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +281,10 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
                 write_roc_csv(cell.sup_roc,
                               os.path.join(cfg.output_dir, f"roc_sup_{tag}.csv"))
 
-            _, proj, _ = pca2(np.concatenate([feats_in, feats_out]))
+            _, proj = pca2(np.concatenate([feats_in, feats_out]))
             labels = np.concatenate([main_test.labels,
                                      np.full(len(feats_out), -1)])
-            flags = np.concatenate([np.zeros(len(feats_in), dtype=int),
-                                    np.ones(len(feats_out), dtype=int)])
+            flags = np.arange(len(labels)) >= len(feats_in)
             write_projection_csv(proj, labels, flags,
                                  os.path.join(cfg.output_dir, f"proj_{tag}.csv"))
 

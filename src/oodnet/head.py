@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteFeature
+from .errors import DimMismatch, NonFiniteFeature, NonFiniteLoss
 from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig,
                  extract_features)
 
@@ -44,9 +44,9 @@ class OodHead(LayerStack):
             h = layer.forward(h)
         return _sigmoid(h[:, 0])
 
-    def accepts(self, p, tau: float | None = None):
+    def accepts(self, p):
         """p >= tau, inclusive (a normal verdict), for a scalar or array p."""
-        return p >= (self.tau if tau is None else tau)
+        return p >= self.tau
 
     def backward(self, dlogit: np.ndarray):
         """Backprop from the pre-sigmoid logit gradient (m,)."""
@@ -82,10 +82,9 @@ def bce_many(p: np.ndarray, y: np.ndarray) -> float:
     return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)).sum())
 
 
-def classify_ood(head: OodHead, feature: np.ndarray,
-                 tau: float | None = None) -> str:
-    """'normal' when the head accepts the feature's p at tau, else 'ood'."""
-    return "normal" if head.accepts(head_forward(head, feature), tau) else "ood"
+def classify_ood(head: OodHead, feature: np.ndarray) -> str:
+    """'normal' when the head accepts the feature's p, else 'ood'."""
+    return "normal" if head.accepts(head_forward(head, feature)) else "ood"
 
 
 @dataclass
@@ -112,7 +111,7 @@ def train_head_on_features(head: OodHead, feats_main, feats_anom,
     optimizer = SGD(head.parameters(), cfg.learning_rate, cfg.momentum)
     k = min(len(feats_main), len(feats_anom))
     trace = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         idx_main = rng.choice(len(feats_main), size=k, replace=False)
         idx_anom = rng.choice(len(feats_anom), size=k, replace=False)
         X = np.concatenate([feats_main[idx_main], feats_anom[idx_anom]])
@@ -123,7 +122,11 @@ def train_head_on_features(head: OodHead, feats_main, feats_anom,
         for i in range(0, len(X), cfg.batch_size):
             xb, yb = X[i:i + cfg.batch_size], y[i:i + cfg.batch_size]
             p = head.forward_many(xb)
-            total += bce_many(p, yb)
+            loss = bce_many(p, yb)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"head loss={loss} on batch "
+                                    f"{i // cfg.batch_size} of epoch {epoch}")
+            total += loss
             # d(bce)/d(logit) = p - y, averaged over the batch
             head.backward((p - yb) / len(xb))
             optimizer.step(head.gradients())

@@ -123,7 +123,7 @@ def train_cell(split_name, lam, seed, epochs=3, with_head=False):
                              np.ones(len(feats_out), bool)])
     ood_pred = (~det.is_normal_many(feats_all)).astype(int)
     result["semi_f1"] = f1(confusion(is_ood.astype(int), ood_pred, 2),
-                           "binary-positive", positive=1)
+                           "binary-positive")
     result["semi_auc"] = roc(det.anomaly_score_many(feats_all), is_ood).auc
     result["feats_out"] = feats_out
     if with_head:
@@ -135,7 +135,7 @@ def train_cell(split_name, lam, seed, epochs=3, with_head=False):
         p = head.forward_many(feats_all)
         sup_pred = (p < head.tau).astype(int)
         result["sup_f1"] = f1(confusion(is_ood.astype(int), sup_pred, 2),
-                              "binary-positive", positive=1)
+                              "binary-positive")
         result["sup_auc"] = roc(p, is_ood, higher_is_anomalous=False).auc
     _cell_cache[key] = result
     return result
@@ -356,7 +356,7 @@ def test_criterion_9_pca_export(tmp_path):
     feats = np.concatenate([
         extract_features(state.backbone, main_test.images),
         extract_features(state.backbone, anom_test.images)])
-    comps, _, _ = pca2(feats)
+    comps, _ = pca2(feats)
     ortho = np.abs(comps @ comps.T - np.eye(2)).max()
     check("9 (export)", "projection CSV well-formed, components orthonormal",
           ok and ortho < 1e-8, f"orthonormality dev {ortho:.1e}")

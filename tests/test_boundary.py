@@ -396,6 +396,49 @@ def test_a_non_finite_loss_names_its_batch_and_epoch_seed(tmp_path, capsys):
     assert re.search(r"batch \d+", err) and "seed 5" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_head_with_a_non_finite_loss_exits_1_leaving_the_archive(
+        tmp_path, capsys):
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    before = path.read_bytes()
+    raw = synth_config(tmp_path)
+    raw["head_train"]["learning_rate"] = 1e30
+    assert main(["train-head", "--config", write_config(tmp_path, raw),
+                 "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert re.search(r"error \[train-head\]: head loss=nan on batch \d+ of "
+                     r"epoch \d+", err) and not out
+    assert path.read_bytes() == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_experiment_with_a_non_finite_head_loss_exits_1_writing_nothing(
+        tmp_path, capsys):
+    raw = synth_config(tmp_path, epochs=1)
+    raw["head_train"]["learning_rate"] = 1e30
+    assert main(["run-experiment", "--config", write_config(tmp_path, raw)]) == 1
+    out, err = capsys.readouterr()
+    assert "error [run-experiment]: head loss=nan" in err and not out
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_to_another_class_count_exits_1_leaving_the_archive(
+        tmp_path, capsys):
+    """The archive's backbone has 3 classes; the config keeps 2 of them."""
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    before = path.read_bytes()
+    raw = synth_config(tmp_path)
+    raw["data"]["main"].update(keep_classes=[0, 1], relabel=True)
+    assert main(["calibrate", "--config", write_config(tmp_path, raw),
+                 "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert ("error [calibrate]: detector.counts: 2 classes, arch.n_classes 3"
+            in err and not out)
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("top", ["[]", "3", "null", '"x"'])
 def test_a_config_that_is_not_an_object_exits_1_writing_nothing(tmp_path,
                                                                 capsys, top):

@@ -133,12 +133,6 @@ class TestMakeBatches:
             np.testing.assert_array_equal(x.images, y.images)
             np.testing.assert_array_equal(x.labels, y.labels)
 
-    def test_no_shuffle_identity_order(self):
-        ds = make_ds(np.arange(6) % 2)
-        batches = make_batches(ds, 4, shuffle=False)
-        np.testing.assert_array_equal(
-            np.concatenate([b.images for b in batches]), ds.images)
-
     def test_checks_m_at_the_call_and_yields_lazily(self):
         ds = make_ds(np.arange(6) % 2)
         with pytest.raises(ValueError):

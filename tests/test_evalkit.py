@@ -25,11 +25,11 @@ class TestF1:
     def test_perfect(self):
         counts = confusion([0, 1, 2, 1], [0, 1, 2, 1], 3)
         assert f1(counts, "macro") == 1.0
-        assert f1(counts[:2, :2], "binary-positive", positive=1) == 1.0
+        assert f1(counts[:2, :2], "binary-positive") == 1.0
 
     def test_binary_half(self):
         counts = np.array([[0, 1], [1, 1]])  # TP=1, FP=1, FN=1
-        assert f1(counts, "binary-positive", positive=1) == pytest.approx(0.5)
+        assert f1(counts, "binary-positive") == pytest.approx(0.5)
 
     def test_macro_mean(self):
         # class 0 perfect (F1 = 1), class 1: TP=1 FP=1 FN=1 (F1 = 0.5)
@@ -40,7 +40,7 @@ class TestF1:
 
     def test_undefined_is_zero(self):
         counts = np.array([[3, 0], [0, 0]])  # positive class never occurs
-        assert f1(counts, "binary-positive", positive=1) == 0.0
+        assert f1(counts, "binary-positive") == 0.0
 
     def test_macro_invariant_under_relabeling(self):
         rng = np.random.default_rng(0)
@@ -146,18 +146,18 @@ class TestPca2:
     def test_collinear_second_coordinate_zero(self):
         t = np.linspace(0, 1, 10)
         feats = np.stack([t, 2 * t + 1, -t], axis=1)
-        _, proj, _ = pca2(feats)
+        _, proj = pca2(feats)
         np.testing.assert_allclose(proj[:, 1], 0, atol=1e-10)
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(0)
-        comps, _, _ = pca2(rng.normal(size=(30, 6)))
+        comps, _ = pca2(rng.normal(size=(30, 6)))
         np.testing.assert_allclose(comps @ comps.T, np.eye(2), atol=1e-8)
 
     def test_matches_covariance_eigendecomposition(self):
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(40, 2)) @ np.array([[3.0, 1.0], [0.0, 0.5]])
-        comps, proj, _ = pca2(feats)
+        comps, proj = pca2(feats)
         Xc = feats - feats.mean(axis=0)
         evals, evecs = np.linalg.eigh(Xc.T @ Xc / (len(feats) - 1))
         order = np.argsort(evals)[::-1]
@@ -170,7 +170,7 @@ class TestPca2:
     def test_projected_variance_bounded(self):
         rng = np.random.default_rng(2)
         feats = rng.normal(size=(25, 5))
-        _, proj, _ = pca2(feats)
+        _, proj = pca2(feats)
         total = ((feats - feats.mean(0)) ** 2).sum()
         assert proj.var(axis=0, ddof=1).sum() * (len(feats) - 1) <= total + 1e-9
 
@@ -178,16 +178,9 @@ class TestPca2:
         rng = np.random.default_rng(3)
         basis = rng.normal(size=(2, 6))
         feats = rng.normal(size=(20, 2)) @ basis
-        _, proj, _ = pca2(feats)
+        _, proj = pca2(feats)
         Xc = feats - feats.mean(0)
         assert (proj ** 2).sum() == pytest.approx((Xc ** 2).sum(), rel=1e-9)
-
-    def test_centroids_projected_with_same_frame(self):
-        rng = np.random.default_rng(4)
-        feats = rng.normal(size=(15, 3))
-        centroids = feats[:2]
-        comps, proj, cproj = pca2(feats, centroids)
-        np.testing.assert_allclose(cproj, proj[:2], atol=1e-12)
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInput):

@@ -181,21 +181,21 @@ class TestClassifyOod:
 
     def test_high_probability_normal(self):
         head = self.make_head_with_p(0.9)
-        assert classify_ood(head, np.zeros(2), 0.5) == "normal"
+        assert classify_ood(head, np.zeros(2)) == "normal"
 
     def test_low_probability_ood(self):
         head = self.make_head_with_p(0.1)
-        assert classify_ood(head, np.zeros(2), 0.5) == "ood"
+        assert classify_ood(head, np.zeros(2)) == "ood"
 
     def test_tie_is_normal(self):
         head = self.make_head_with_p(0.5)
-        assert classify_ood(head, np.zeros(2), 0.5) == "normal"
+        assert classify_ood(head, np.zeros(2)) == "normal"
 
     def test_accepts_is_inclusive(self):
         head = OodHead(2, seed=0, tau=0.5)
         np.testing.assert_array_equal(head.accepts(np.array([0.4, 0.5, 0.6])),
                                       [False, True, True])
-        assert head.accepts(0.5) and not head.accepts(0.5, tau=0.6)
+        assert head.accepts(0.5) and not OodHead(2, tau=0.6).accepts(0.5)
 
 
 class TestNonFiniteFeature:
