@@ -80,7 +80,8 @@ def _field(obj, key: str, kind: type, where: str = "header", least=None,
 
 def _decode(data: bytes) -> tuple[dict, dict]:
     """-> (header, named blobs) of archive bytes; the framing, the header
-    JSON and its blob table are checked, and every blob value is finite."""
+    JSON and its blob table (each name once) are checked, and every blob
+    value is finite."""
     if data[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, got {data[:4]!r}")
     if len(data) < 16:
@@ -95,6 +96,8 @@ def _decode(data: bytes) -> tuple[dict, dict]:
     blobs = {}
     for entry in _field(header, "blobs", list):
         name = _field(entry, "name", str, "blob")
+        if name in blobs:
+            raise CorruptLength(f"blob {name} listed twice")
         shape = _field(entry, "shape", int, f"blob {name}", 0, json_list)
         end = offset + 4 * math.prod(shape)
         if end > len(data):

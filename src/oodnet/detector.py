@@ -11,20 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CorruptLength, DegenerateClass, DimMismatch,
-                     FactorizationFailure, NonFiniteFeature, NotCalibrated,
-                     ShapeMismatch, json_list, json_value)
-from .nn import checked_blob, extract_features
+from .errors import (CorruptLength, DegenerateClass, FactorizationFailure,
+                     NotCalibrated, ShapeMismatch, json_list, json_value)
+from .nn import checked_blob, extract_features, feature_rows
 
 DEFAULT_PERCENTILE = 0.975
 # features per block in distances_many; bounds the (rows, n*d) product
 BLOCK_ROWS = 256
-
-
-def _check_rows(xs: np.ndarray, d: int):
-    """xs must be a batch of feature rows: 2-D with d columns."""
-    if xs.ndim != 2 or xs.shape[1] != d:
-        raise DimMismatch(f"expected (m, {d}) feature rows, got {xs.shape}")
 
 
 def check_class_count(count: int, n: int):
@@ -82,8 +75,7 @@ class ClassStats:
 
     def mahalanobis_many(self, xs: np.ndarray) -> np.ndarray:
         """Reference path: one triangular solve pair per call."""
-        xs = np.asarray(xs, dtype=np.float64)
-        _check_rows(xs, len(self.mean))
+        xs = feature_rows(np.asarray(xs, dtype=np.float64), len(self.mean))
         delta = xs - self.mean
         z = cho_solve(self._factor, delta.T)
         # clip tiny negative round-off before the root
@@ -137,11 +129,8 @@ class DetectorModel:
 
     def distances_many(self, xs: np.ndarray) -> np.ndarray:
         """(M, n_classes) distance matrix, in blocks of BLOCK_ROWS rows."""
-        xs = np.asarray(xs)
         n, d = self.n_classes, self._maps.shape[0]
-        _check_rows(xs, d)
-        if not np.isfinite(xs).all():
-            raise NonFiniteFeature("feature holds NaN or inf")
+        xs = feature_rows(np.asarray(xs), d)
         out = np.empty((len(xs), n))
         for start in range(0, len(xs), BLOCK_ROWS):
             rows = np.ascontiguousarray(xs[start:start + BLOCK_ROWS],

@@ -61,10 +61,6 @@ class RocCurve:
     def tpr(self):
         return self.points[:, 1]
 
-    @property
-    def thresholds(self):
-        return self.points[:, 2]
-
 
 def roc(scores, is_anomalous, higher_is_anomalous: bool = True) -> RocCurve:
     """ROC over all distinct score cut points, anomalous class positive.

@@ -18,7 +18,7 @@ from .errors import ConfigError, json_list, json_value
 from .evalkit import (confusion, f1, pca2, roc, write_median_csv,
                       write_metrics_csv, write_projection_csv, write_roc_csv)
 from .head import HeadTrainConfig, OodHead, train_head_on_features
-from .nn import Backbone, TrainConfig, embed, train
+from .nn import Backbone, TrainConfig, bounded, embed, train
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -26,11 +26,6 @@ from .nn import Backbone, TrainConfig, embed, train
 _TOP_KEYS = {"output_dir", "seeds", "lambdas", "percentile", "tau",
              "train", "head_train", "data"}
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
-# synthetic source key -> (default, least value); the default's type is
-# the key's kind
-_SYNTH = {"n_classes": (3, 2), "per_class_train": (150, 1),
-          "per_class_test": (50, 1), "side": (12, 1), "separation": (3.0, None),
-          "seed": (0, 0), "layout_seed": (0, 0)}
 _value = partial(json_value, error=ConfigError)
 _list = partial(json_list, error=ConfigError)
 
@@ -46,18 +41,17 @@ def _require_keys(obj: dict, allowed, where: str, required=()):
         raise ConfigError(f"{where}: missing required keys {missing}")
 
 
-def _section(cls, raw: dict, where: str, per_cell: set):
+def _section(cls, raw: dict, where: str, per_cell=frozenset()):
     """cls built from the JSON object raw. Its keys are cls's fields but
     the per-cell ones, which the sweep sets; each value has the kind of the
-    field's default, and cls's own range checks run here, at parse time."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    _require_keys(raw, set(defaults) - per_cell, where)
+    field's default and is at least the field's declared least value
+    (nn.bounded), which is checked here and nowhere else."""
+    declared = {f.name: f for f in fields(cls)}
+    _require_keys(raw, set(declared) - per_cell, where)
     for key, value in raw.items():
-        _value(value, type(defaults[key]), f"{where}.{key}")
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        _value(value, type(declared[key].default), f"{where}.{key}",
+               least=declared[key].metadata.get("least"))
+    return cls(**raw)
 
 
 def _tag(lam: float, seed: int) -> str:
@@ -65,9 +59,22 @@ def _tag(lam: float, seed: int) -> str:
 
 
 @dataclass
+class SynthSpec:
+    """A synthetic source: synth_blobs of n_classes in one layout; the test
+    split is drawn with seed + 1."""
+    n_classes: int = bounded(3, 2)
+    per_class_train: int = bounded(150, 1)
+    per_class_test: int = bounded(50, 1)
+    side: int = bounded(12, 1)
+    separation: float = 3.0
+    seed: int = bounded(0, 0)
+    layout_seed: int = bounded(0, 0)
+
+
+@dataclass
 class SourceSpec:
     idx: dict | None = None
-    synthetic: dict | None = None
+    synthetic: SynthSpec | None = None
     keep_classes: list | None = None
     relabel: bool = False
 
@@ -118,20 +125,18 @@ class RunConfig:
         _require_keys(raw, {f.name for f in fields(SourceSpec)}, where)
         if ("idx" in raw) == ("synthetic" in raw):
             raise ConfigError(f"{where}: exactly one of idx/synthetic required")
+        synthetic = None
         if "idx" in raw:
             _require_keys(raw["idx"], _IDX_KEYS, f"{where}.idx", required=_IDX_KEYS)
             for key, path in raw["idx"].items():
                 if not os.path.isfile(_value(path, str, f"{where}.idx.{key}")):
                     raise ConfigError(f"{where}.idx.{key}: no such file {path!r}")
         else:
-            _require_keys(raw["synthetic"], _SYNTH, f"{where}.synthetic")
-            for key, value in raw["synthetic"].items():
-                default, least = _SYNTH[key]
-                _value(value, type(default), f"{where}.synthetic.{key}", least=least)
+            synthetic = _section(SynthSpec, raw["synthetic"], f"{where}.synthetic")
         keep = raw.get("keep_classes")
         if keep is not None:
             _list(keep, int, f"{where}.keep_classes")
-        return SourceSpec(idx=raw.get("idx"), synthetic=raw.get("synthetic"),
+        return SourceSpec(idx=raw.get("idx"), synthetic=synthetic,
                           keep_classes=keep,
                           relabel=_value(raw.get("relabel", False), bool,
                                          f"{where}.relabel"))
@@ -148,12 +153,11 @@ def _load_split(spec: SourceSpec | None, split: str, anomaly: bool):
         ds = datamod.load_idx_dataset(spec.idx[f"{split}_images"],
                                       spec.idx[f"{split}_labels"], role)
     else:
-        s = {key: spec.synthetic.get(key, default)
-             for key, (default, _) in _SYNTH.items()}
+        s = spec.synthetic
         ds = datamod.synth_blobs(
-            s["n_classes"], s[f"per_class_{split}"], side=s["side"],
-            separation=s["separation"], seed=s["seed"] + (split == "test"),
-            role=role, layout_seed=s["layout_seed"])
+            s.n_classes, getattr(s, f"per_class_{split}"), side=s.side,
+            separation=s.separation, seed=s.seed + (split == "test"),
+            role=role, layout_seed=s.layout_seed)
     if spec.keep_classes is not None:
         ds = datamod.split_classes(ds, spec.keep_classes, spec.relabel)
     return ds

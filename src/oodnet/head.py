@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteFeature, NonFiniteLoss
-from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig,
-                 extract_features)
+from .errors import NonFiniteLoss
+from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig, bounded,
+                 extract_features, feature_rows)
 
 BCE_CLAMP = 1e-7
 
@@ -35,11 +35,8 @@ class OodHead(LayerStack):
         return {"in_dim": self.in_dim, "tau": self.tau}
 
     def forward_many(self, features: np.ndarray) -> np.ndarray:
-        if features.ndim != 2 or features.shape[1] != self.in_dim:
-            raise DimMismatch(f"expected (m, {self.in_dim}), got {features.shape}")
-        h = np.asarray(features, dtype=self.dtype)
-        if not np.isfinite(h).all():
-            raise NonFiniteFeature("feature holds NaN or inf")
+        # checked after the cast: a float64 1e300 is inf as float32
+        h = feature_rows(np.asarray(features, dtype=self.dtype), self.in_dim)
         for layer in self.layers:
             h = layer.forward(h)
         return _sigmoid(h[:, 0])
@@ -89,7 +86,7 @@ def classify_ood(head: OodHead, feature: np.ndarray) -> str:
 
 @dataclass
 class HeadTrainConfig(SGDConfig):
-    epochs: int = 20
+    epochs: int = bounded(20, 0)
 
 
 def train_head(model: Backbone, head: OodHead, main_ds, anomaly_ds,

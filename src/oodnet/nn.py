@@ -20,43 +20,37 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .centerloss import center_loss, center_loss_grads, combine
 from .data import ROLE_MAIN_TRAIN, LabeledDataset, MiniBatch, make_batches
-from .errors import EmptyDataset, LabelOutOfRange, NonFiniteLoss, ShapeMismatch
+from .errors import (DimMismatch, EmptyDataset, LabelOutOfRange,
+                     NonFiniteFeature, NonFiniteLoss, ShapeMismatch)
+
+
+def bounded(default, least):
+    """A config field with this default whose value must be >= least; the
+    config reader (experiment._section) checks it, constructors do not."""
+    return field(default=default, metadata={"least": least})
 
 
 @dataclass
 class SGDConfig:
-    """Mini-batch momentum SGD settings and their range checks, shared by
-    stage-one training and the head's."""
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    epochs: int = 3
+    """Mini-batch momentum SGD settings, shared by stage-one training and
+    the head's."""
+    learning_rate: float = bounded(0.01, 0)
+    batch_size: int = bounded(64, 1)
+    epochs: int = bounded(3, 0)
     seed: int = 0
     momentum: float = 0.9
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
 
 
 @dataclass
 class TrainConfig(SGDConfig):
     lam: float = 0.0            # weight of the centroid-pull term
     center_rate: float = 0.5    # centroid update rate
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        super().__post_init__()
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +183,9 @@ class Conv2D(ParamLayer):
 
 class ReLU(Layer):
     def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask
+        return x * mask
 
     def backward(self, grad):
         return grad * self._mask
@@ -249,6 +244,17 @@ class Dense(ParamLayer):
 
 # ---------------------------------------------------------------------------
 # layer stacks
+
+
+def feature_rows(xs: np.ndarray, d: int) -> np.ndarray:
+    """xs, which must be a batch of feature rows: 2-D with d columns
+    (DimMismatch), every value finite (NonFiniteFeature). The one check
+    of the features the detector and the head are given."""
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise DimMismatch(f"expected (m, {d}) feature rows, got {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise NonFiniteFeature("feature holds NaN or inf")
+    return xs
 
 
 def checked_blob(arrays: dict, name: str, shape: tuple) -> np.ndarray:

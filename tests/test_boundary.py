@@ -61,6 +61,15 @@ def cut_detector_to_one_class(path):
     edit_header(lambda h: h["detector"].update(counts=h["detector"]["counts"][:1]))(path)
 
 
+def list_clf_b_twice(path):
+    """A second clf.b entry at the end of the blob table, its three values
+    7.0 after the last blob: the bytes are all accounted for."""
+    data = path.read_bytes()
+    header = header_of(data)
+    header["blobs"].append({"name": "clf.b", "shape": [3]})
+    path.write_bytes(with_header(data, header) + np.full(3, 7.0, "<f4").tobytes())
+
+
 ARCHIVE_FAULTS = [
     pytest.param(lambda p: p.write_bytes(p.read_bytes()[:12]), CorruptLength,
                  id="shorter-than-16-bytes"),
@@ -79,6 +88,7 @@ ARCHIVE_FAULTS = [
                  CorruptLength, id="one-class"),
     pytest.param(cut_detector_to_one_class, ShapeMismatch,
                  id="detector-cut-to-one-class"),
+    pytest.param(list_clf_b_twice, CorruptLength, id="blob-listed-twice"),
 ]
 
 
@@ -141,6 +151,7 @@ BAD_HEADER_VALUES = [
     ("detector.counts", '["x", null, true]'), ("detector.counts", "[-5, -5, -5]"),
     ("arch.n_classes", str(10**13)), ("arch.feature_dim", "85"),
     ("arch.input_side", "16"),
+    ("detector.percentile", "0"), ("detector.percentile", "1.5"),
 ]
 
 
@@ -329,6 +340,16 @@ CONFIG_FAULTS = [
     pytest.param("lambdas", [PAST_FLOAT], id="lambdas-int_past_float"),
     *(pytest.param(key, PAST_FLOAT, id=f"{key}-int_past_float") for key in
       ("percentile", "tau", "train.learning_rate", "train.momentum")),
+    # one value below each declared least value
+    ("train.learning_rate", -0.1),
+    ("train.epochs", -1),
+    ("head_train.batch_size", 0),
+    ("data.main.synthetic.n_classes", 1),
+    ("data.main.synthetic.per_class_train", 0),
+    ("data.main.synthetic.per_class_test", 0),
+    ("data.main.synthetic.side", 0),
+    ("data.main.synthetic.seed", -1),
+    ("data.main.synthetic.layout_seed", -1),
 ]
 
 
@@ -359,6 +380,42 @@ class TestConfigFaults:
         cfg_path.write_text(json.dumps(synth_config(tmp_path)))
         assert main(["train", "--config", str(cfg_path), *override]) == 1
         assert "error [train]" in capsys.readouterr().err
+
+
+def without_key(tmp_path, dotted: str) -> dict:
+    """synth_config with the key at dotted removed. For a key under
+    data.main.idx the main source is first made an IDX source."""
+    raw = synth_config(tmp_path)
+    if ".idx." in dotted:
+        raw["data"]["main"] = {"idx": {
+            name: str(tmp_path / f"{name}.idx") for name in
+            ("train_images", "train_labels", "test_images", "test_labels")}}
+    *parents, last = dotted.split(".")
+    obj = raw
+    for key in parents:
+        obj = obj[key]
+    del obj[last]
+    return raw
+
+
+REQUIRED_KEYS = ["output_dir", "seeds", "data", "data.main",
+                 "data.main.idx.train_labels"]
+
+
+class TestMissingRequiredKeys:
+    @pytest.mark.parametrize("key", REQUIRED_KEYS)
+    def test_from_dict_raises_config_error(self, tmp_path, key):
+        with pytest.raises(ConfigError, match="missing required keys") as info:
+            RunConfig.from_dict(without_key(tmp_path, key))
+        assert all(part in str(info.value) for part in key.split("."))
+
+    @pytest.mark.parametrize("key", REQUIRED_KEYS)
+    def test_train_exits_1_writing_nothing(self, tmp_path, capsys, key):
+        cfg_path = write_config(tmp_path, without_key(tmp_path, key))
+        assert main(["train", "--config", cfg_path]) == 1
+        out, err = capsys.readouterr()
+        assert "error [train]" in err and not out
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("key,values", [("lambdas", [1e-5, 1.000001e-5]),

@@ -314,6 +314,17 @@ class TestDistanceKernel:
             with pytest.raises(NonFiniteFeature):
                 call(rows)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_reference_path_raises_on_a_non_finite_feature(self, calibrated,
+                                                           bad):
+        """The reference distance checks its rows by the detector's rule
+        rather than returning a NaN distance."""
+        det, xs = calibrated
+        rows = xs[:4].copy()
+        rows[1, 5] = bad
+        with pytest.raises(NonFiniteFeature):
+            det.stats[0].mahalanobis_many(rows)
+
     def test_scoring_and_calibration_make_no_solves(self, calibrated,
                                                     monkeypatch):
         det, xs = calibrated

@@ -214,6 +214,14 @@ class TestNonFiniteFeature:
             with pytest.raises(NonFiniteFeature):
                 call()
 
+    def test_a_float64_past_the_float32_range_raises(self):
+        """The head checks its features after the cast to its dtype, where
+        a float64 1e300 has become inf."""
+        feats = np.zeros((2, 4))
+        feats[1, 2] = 1e300
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteFeature):
+            OodHead(4, seed=0).forward_many(feats)
+
     def test_training_on_a_nan_row_raises(self):
         rng = np.random.default_rng(0)
         main = rng.normal(size=(20, 4)).astype(np.float32)

@@ -9,6 +9,7 @@ from oodnet import (Backbone, Centers, TrainConfig, embed, extract_features,
                     grad_check, softmax_xent, synth_blobs, train, train_epoch)
 from oodnet.data import MiniBatch
 from oodnet.errors import LabelOutOfRange, ShapeMismatch
+from oodnet.head import OodHead
 from oodnet.nn import (BLOCK, SGD, Conv2D, Dense, MaxPool2x2, ReLU,
                        _im2col, _patch_index)
 
@@ -320,6 +321,36 @@ class TestMaxPool:
         win = dx.reshape(2, 3, 3, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5)
         nonzero = (win.reshape(2, 3, 3, 3, 4) != 0).sum(axis=-1)
         assert nonzero.max() <= 1
+
+
+def without_state_reads(layer):
+    """layer, its class swapped for a subclass that raises on reading the
+    state a layer keeps for its backward (_x, _mask, _out, _shape)."""
+    cls = type(layer)
+
+    def getattribute(self, name):
+        if name in ("_x", "_mask", "_out", "_shape"):
+            raise AssertionError(f"{cls.__name__} read {name}")
+        return object.__getattribute__(self, name)
+
+    layer.__class__ = type(cls.__name__, (cls,), {"__getattribute__": getattribute})
+
+
+def test_inference_forwards_read_no_layer_state():
+    """An inference forward only writes the state a backward reads, never
+    reads it back: embed and the head's forward_many give the same bits
+    when every such read raises, so threads could share one model."""
+    model = Backbone(3, input_side=12, seed=0)
+    head = OodHead(model.feature_dim, seed=0)
+    images = synth_blobs(3, 5, side=12, seed=1).images
+    feats, logits = embed(model, images)
+    p = head.forward_many(feats)
+    for layer in model.layers + head.layers:
+        without_state_reads(layer)
+    got_feats, got_logits = embed(model, images)
+    np.testing.assert_array_equal(got_feats, feats)
+    np.testing.assert_array_equal(got_logits, logits)
+    np.testing.assert_array_equal(head.forward_many(got_feats), p)
 
 
 class TestExtractFeatures:
