@@ -324,8 +324,8 @@ class TestMaxPool:
 
 
 def without_state_reads(layer):
-    """layer, its class swapped for a subclass that raises on reading the
-    state a layer keeps for its backward (_x, _mask, _out, _shape)."""
+    """Swap layer's class for a subclass that raises on reading the state
+    a layer keeps for its backward (_x, _mask, _out, _shape)."""
     cls = type(layer)
 
     def getattribute(self, name):
