@@ -184,12 +184,16 @@ def synth_blobs(n_classes: int, per_class: int, side: int = 12,
         raise ValueError("need at least 2 classes")
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    try:   # before anything else is drawn: a size no memory holds
+        images = np.empty((n_classes * per_class, side, side), dtype=np.float32)
+        labels = np.empty(n_classes * per_class, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:
+        raise ShapeMismatch(f"{n_classes} classes x {per_class} images of "
+                            f"{side}x{side}: {exc}") from exc
     rng = np.random.default_rng(seed)
     centers = _class_layout(n_classes, side, separation, layout_seed)
     yy, xx = np.mgrid[0:side, 0:side].astype(np.float32)
     sigma, noise = 1.2, 0.05
-    images = np.empty((n_classes * per_class, side, side), dtype=np.float32)
-    labels = np.empty(n_classes * per_class, dtype=np.int64)
     k = 0
     for cls in range(n_classes):
         for _ in range(per_class):

@@ -13,11 +13,19 @@ import numpy as np
 
 from .errors import (CorruptLength, DegenerateClass, FactorizationFailure,
                      NotCalibrated, ShapeMismatch, json_list, json_value)
-from .nn import checked_blob, extract_features, feature_rows
+from .nn import _map_rows, checked_blob, extract_features, feature_rows
 
 DEFAULT_PERCENTILE = 0.975
-# features per block in distances_many; bounds the (rows, n*d) product
+# feature rows in flight in distances_many; bounds the (rows, n*d) products
 BLOCK_ROWS = 256
+
+
+def check_percentile(value, error: type, where: str = "percentile"):
+    """value, which must be a percentile in (0, 1]: the one rule of the
+    detector, its stored form and the config, each raising its own error."""
+    if not 0 < value <= 1:
+        raise error(f"{where} {value} not in (0, 1]")
+    return value
 
 
 def check_class_count(count: int, n: int):
@@ -96,10 +104,8 @@ class DetectorModel:
 
     def __init__(self, stats: list[ClassStats],
                  percentile: float = DEFAULT_PERCENTILE):
-        if not 0 < percentile <= 1:
-            raise ValueError("percentile must be in (0, 1]")
         self.stats = stats
-        self.percentile = percentile
+        self.percentile = check_percentile(percentile, ValueError)
         self.thresholds = None
         self._stack_maps()
 
@@ -128,19 +134,17 @@ class DetectorModel:
         return self.distances_many(np.atleast_2d(x))[0]
 
     def distances_many(self, xs: np.ndarray) -> np.ndarray:
-        """(M, n_classes) distance matrix, in blocks of BLOCK_ROWS rows."""
-        n, d = self.n_classes, self._maps.shape[0]
-        xs = feature_rows(np.asarray(xs), d)
-        out = np.empty((len(xs), n))
-        for start in range(0, len(xs), BLOCK_ROWS):
-            rows = np.ascontiguousarray(xs[start:start + BLOCK_ROWS],
-                                        dtype=np.float64)
-            z = self._whiten_rows(rows)
-            z -= self._offsets
-            np.square(z, out=z)
-            np.sqrt(z.reshape(len(rows), n, d).sum(axis=2),
-                    out=out[start:start + len(rows)])
-        return out
+        """(M, n_classes) distance matrix, with about BLOCK_ROWS rows in
+        flight, spread over the usable CPUs (nn._map_rows)."""
+        xs = feature_rows(np.asarray(xs), self._maps.shape[0])
+        return np.concatenate(_map_rows(self._block_distances, xs, BLOCK_ROWS))
+
+    def _block_distances(self, xs: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(xs, dtype=np.float64)
+        z = self._whiten_rows(rows)
+        z -= self._offsets
+        np.square(z, out=z)
+        return np.sqrt(z.reshape(len(rows), self.n_classes, -1).sum(axis=2))
 
     def calibrate(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Set each class threshold to the percentile (linear interpolation)
@@ -182,9 +186,8 @@ class DetectorModel:
 
         counts = field("counts", int, 0, json_list)
         check_class_count(len(counts), n)
-        percentile = field("percentile", float)
-        if not 0 < percentile <= 1:
-            raise CorruptLength(f"detector.percentile {percentile} not in (0, 1]")
+        percentile = check_percentile(field("percentile", float), CorruptLength,
+                                      "detector.percentile")
         upper = np.triu_indices(d)
         stats = []
         for j, count in enumerate(counts):

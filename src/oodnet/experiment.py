@@ -13,7 +13,8 @@ import numpy as np
 from . import data as datamod
 from .archive import ModelState, save_model
 from .centerloss import Centers
-from .detector import DEFAULT_PERCENTILE, DetectorModel, fit_stats
+from .detector import (DEFAULT_PERCENTILE, DetectorModel, check_percentile,
+                       fit_stats)
 from .errors import ConfigError, json_list, json_value
 from .evalkit import (confusion, f1, pca2, roc, write_median_csv,
                       write_metrics_csv, write_projection_csv, write_roc_csv)
@@ -112,8 +113,7 @@ class RunConfig:
                      if "anomaly" in data else None),
             **{key: float(_value(raw[key], float, key))
                for key in ("percentile", "tau") if key in raw})
-        if not 0 < cfg.percentile <= 1:
-            raise ConfigError(f"percentile: must be in (0, 1], got {cfg.percentile}")
+        check_percentile(cfg.percentile, ConfigError)
         for key, tags in (("lambdas", [_tag(lam, 0) for lam in cfg.lambdas]),
                           ("seeds", [_tag(0.0, seed) for seed in cfg.seeds])):
             if len(set(tags)) < len(tags):   # two cells would share files

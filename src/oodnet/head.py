@@ -35,7 +35,9 @@ class OodHead(LayerStack):
         return {"in_dim": self.in_dim, "tau": self.tau}
 
     def forward_many(self, features: np.ndarray) -> np.ndarray:
-        # checked after the cast: a float64 1e300 is inf as float32
+        # One pass on the calling thread, unlike embed (nn._map_rows):
+        # train_head_on_features runs backward on the Dense._x it writes.
+        # Checked after the cast: a float64 1e300 is inf as float32.
         h = feature_rows(np.asarray(features, dtype=self.dtype), self.in_dim)
         for layer in self.layers:
             h = layer.forward(h)

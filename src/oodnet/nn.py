@@ -14,12 +14,18 @@ flat patch index that is built once per input shape; max pooling is
 output row is computed from its own input row alone: a convolution output
 from its own patch row, a pooled value from its own window, a dense
 output from its own input vector, whatever the block or batch size
-around it.
+around it. For the same reason batched inference (``embed`` and the
+detector's ``distances_many``) runs its row slices on every usable CPU
+(``_map_rows``) and still gives the same bits.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,16 +387,157 @@ class Backbone(LayerStack):
             g = layer.backward(g)
 
 
+# ---------------------------------------------------------------------------
+# batched inference on every usable CPU
+#
+# Only embed and the detector's distances_many use _map_rows. The rest
+# stays on the calling thread: training, whose backward reads the state
+# its forward wrote; OodHead.forward_many, whose Dense._x the head's
+# training reads back in its backward; and every batch-1 call, one slice.
+
+# Most rows a thread takes at once. Each pool thread allocates from a
+# malloc arena of its own, which keeps about one slice's working set for
+# the next: slices of 128 images raised score-stream's peak memory by
+# ~7 MB, at no measurable gain in speed.
+SLICE_ROWS = 32
+_pool = None
+_lock = threading.Lock()                # guards _pool and _region
+_region = {"open": 0, "saved": None}    # open regions, BLAS threads before
+
+
+@functools.cache
+def _cpus() -> int:
+    """The number of CPUs this process may run on, read once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, resolved
+    through numpy's own extension module; None where it exports no such pair."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _malloc_trim():
+    """The C library's malloc_trim (glibc), or None where it has none."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _executor():
+    """The pool's threads: one per usable CPU but the caller's own."""
+    global _pool
+    with _lock:
+        if _pool is None:
+            # imported on first use: it adds ~6 ms to every import of oodnet
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_cpus() - 1)
+    return _pool
+
+
+def _forget_pool():
+    """A forked child has none of its parent's pool threads: a slice
+    given to that pool would never run, and would never be freed."""
+    global _pool, _lock
+    _pool, _lock = None, threading.Lock()
+    _region.update(open=0, saved=None)
+
+
+if hasattr(os, "register_at_fork"):   # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+@contextlib.contextmanager
+def _parallel_region():
+    """OpenBLAS at 1 thread while any such region is open: the first to
+    open saves the count and the last to close restores it. The first also
+    gives the heap's free memory back (malloc_trim): a pool thread's
+    malloc arena cannot reuse what the caller freed before the region, so
+    that memory would otherwise add to the peak (train-lenet's by ~4 MB,
+    embedding after its training)."""
+    get, put = _blas_threads()
+    with _lock:
+        if not _region["open"]:
+            _region["saved"] = get()
+            put(1)
+            trim = _malloc_trim()
+            if trim:
+                trim(0)
+        _region["open"] += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _region["open"] -= 1
+            if not _region["open"]:
+                put(_region["saved"])
+
+
+def _map_rows(fn, rows, most: int) -> list:
+    """[fn(slice) for each consecutive row slice of rows], in row order,
+    with about ``most`` rows in flight.
+
+    With more than one row, more than one usable CPU and numpy's OpenBLAS
+    thread setter, the calling thread and the pool's threads, one per CPU
+    in all, take slices of ceil(min(most, len(rows)) / CPUs) rows, at most
+    SLICE_ROWS, in turn inside a _parallel_region (OpenBLAS at 1 thread:
+    BLAS threads on top of them only oversubscribe the CPUs). Otherwise
+    the slices, ``most`` rows each, run inline. fn must compute every
+    output row from its own input row alone: then no split changes a bit."""
+    workers = _cpus()
+    if len(rows) < 2 or workers < 2 or _blas_threads() is None:
+        return [fn(rows[s:s + most]) for s in range(0, len(rows), most)]
+    step = min(-(-min(most, len(rows)) // workers), SLICE_ROWS)
+    jobs = iter(range(0, len(rows), step))
+    take = threading.Lock()
+    out = {}
+
+    def drain():
+        while True:
+            with take:
+                s = next(jobs, None)
+            if s is None:
+                return
+            out[s] = fn(rows[s:s + step])
+
+    with _parallel_region():
+        helpers = [_executor().submit(drain) for _ in range(workers - 1)]
+        try:
+            drain()
+        finally:
+            # a helper that has not started would find no job left: it need
+            # not run, so a caller that is itself a pool thread never waits
+            # on a pool whose threads all wait
+            for helper in helpers:
+                if not helper.cancel():
+                    helper.result()
+    return [out[s] for s in range(0, len(rows), step)]
+
+
 def embed(model: Backbone, images: np.ndarray,
           batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """(features, logits) for a stack of images, from one forward pass per
-    chunk of batch_size; batching does not affect values."""
+    """(features, logits) for a stack of images, with about batch_size
+    images in flight, spread over the usable CPUs (_map_rows); batching
+    does not affect values."""
     if images.ndim == 2:
         images = images[None]
     if not len(images):
         raise EmptyDataset("no images to embed")
-    feats, logits = zip(*(model.forward(images[i:i + batch_size])
-                          for i in range(0, len(images), batch_size)))
+    feats, logits = zip(*_map_rows(model.forward, images, batch_size))
     return np.concatenate(feats), np.concatenate(logits)
 
 

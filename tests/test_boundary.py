@@ -418,6 +418,19 @@ class TestMissingRequiredKeys:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("key", ["per_class_train", "side"])
+def test_a_synthetic_split_no_memory_holds_exits_1_writing_nothing(
+        tmp_path, capsys, key):
+    """10**12 per class of 12x12 images would be 1.53 PiB: the allocation is
+    refused, and that refusal is a typed error, not a MemoryError."""
+    raw = synth_config(tmp_path)
+    raw["data"]["main"]["synthetic"][key] = 10**12
+    assert main(["train", "--config", write_config(tmp_path, raw)]) == 1
+    out, err = capsys.readouterr()
+    assert "error [train]" in err and not out
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("key,values", [("lambdas", [1e-5, 1.000001e-5]),
                                         ("lambdas", [0.1, 0.1]),
                                         ("seeds", [0, 0])])

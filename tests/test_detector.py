@@ -390,6 +390,41 @@ def test_distances_and_thresholds_are_the_same_bits_at_one_blas_thread(
     assert one == default
 
 
+EMBED_AND_DISTANCE_HASH = """
+import hashlib, os, sys
+if sys.argv[1] == "pinned":   # before oodnet reads the usable CPUs
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from oodnet import nn
+from test_detector import fitted_detector
+images = np.random.default_rng(3).random((600, 28, 28), dtype=np.float32)
+feats, logits = nn.embed(nn.Backbone(10, input_side=28, seed=0), images)
+det, _, _ = fitted_detector(np.random.default_rng(8), n_classes=10, d=84,
+                            per_class=100)
+dists = det.distances_many(feats)
+print(nn._cpus(), hashlib.sha256(feats.tobytes() + logits.tobytes()
+                                 + dists.tobytes()).hexdigest())
+"""
+
+
+def test_embed_and_distances_are_the_same_bits_on_one_cpu():
+    """Pinned to one CPU, embed and distances_many run inline; unpinned,
+    on the thread pool with OpenBLAS at 1 thread."""
+    cpus, inline = fresh_python(EMBED_AND_DISTANCE_HASH, "pinned").split()
+    _, pooled = fresh_python(EMBED_AND_DISTANCE_HASH, "free").split()
+    assert cpus == "1"
+    assert inline == pooled
+
+
+@pytest.mark.parametrize("m", [1, 255, 256, 257, 4097])
+def test_distances_many_equals_a_row_by_row_loop(m):
+    rng = np.random.default_rng(8)
+    det, _, _ = fitted_detector(rng, n_classes=10, d=84, per_class=100)
+    xs = rng.normal(size=(m, 84)) * 6
+    np.testing.assert_array_equal(det.distances_many(xs),
+                                  np.stack([det.distances(x) for x in xs]))
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, oodnet.cli; print('scipy' in sys.modules)"
     assert fresh_python(code).split() == ["False"]

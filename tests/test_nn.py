@@ -1,17 +1,21 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import f64_setup, nearest_mean_accuracy
+from test_detector import fresh_python
 from oodnet import (Backbone, Centers, TrainConfig, embed, extract_features,
                     grad_check, softmax_xent, synth_blobs, train, train_epoch)
 from oodnet.data import MiniBatch
 from oodnet.errors import LabelOutOfRange, ShapeMismatch
+from oodnet import nn
 from oodnet.head import OodHead
 from oodnet.nn import (BLOCK, SGD, Conv2D, Dense, MaxPool2x2, ReLU,
-                       _im2col, _patch_index)
+                       _im2col, _map_rows, _patch_index)
 
 
 # --- independent explicit-loop reference for the forward pass ---
@@ -388,3 +392,154 @@ class TestExtractFeatures:
             feats, logits = embed(model, images, batch_size=batch_size)
             np.testing.assert_array_equal(feats, whole_feats)
             np.testing.assert_array_equal(logits, whole_logits)
+
+
+# --- batched inference on the thread pool (nn._map_rows) ---
+
+
+@pytest.fixture(scope="module")
+def model28():
+    return Backbone(10, input_side=28, seed=0)
+
+
+def images28(n, seed=0):
+    return np.random.default_rng(seed).random((n, 28, 28), dtype=np.float32)
+
+
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count; skips without one."""
+    calls = nn._blas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+    return calls
+
+
+class TestMapRows:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 4097])
+    def test_embed_equals_a_sequential_forward_loop(self, model28, n):
+        images = images28(n)
+        chunks = [model28.forward(images[s:s + 256]) for s in range(0, n, 256)]
+        feats, logits = embed(model28, images)
+        np.testing.assert_array_equal(feats, np.concatenate([f for f, _ in chunks]))
+        np.testing.assert_array_equal(logits, np.concatenate([g for _, g in chunks]))
+
+    @pytest.mark.parametrize("n,most", [(1, 256), (2, 1), (7, 3), (257, 256),
+                                        (4097, 256)])
+    def test_slices_come_back_in_row_order(self, n, most):
+        parts = _map_rows(lambda rows: rows, np.arange(n), most)
+        np.testing.assert_array_equal(np.concatenate(parts), np.arange(n))
+        assert max(map(len, parts)) <= most
+
+    def test_blas_runs_at_one_thread_inside_and_is_restored_after(self):
+        get, put = blas_threads()
+        before = get()
+        put(3)   # a count no region sets
+        try:
+            inside = _map_rows(lambda rows: get(), np.arange(8), 2)
+            assert inside == [1 if nn._cpus() > 1 else 3] * len(inside)
+            assert get() == 3
+        finally:
+            put(before)
+
+    def test_the_first_region_to_open_trims_the_heap(self, monkeypatch):
+        blas_threads()
+        calls = []
+        monkeypatch.setattr(nn, "_malloc_trim", lambda: calls.append)
+        _map_rows(lambda rows: rows, np.arange(8), 2)
+        assert calls == ([0] if nn._cpus() > 1 else [])
+
+    def test_overlapping_regions_keep_one_blas_thread_and_restore_it(
+            self, model28):
+        """More callers than CPUs open and close regions at once, with a
+        short switch interval: a lost update of the open-region count
+        would restore OpenBLAS's count while a region is still open, or
+        leave it at 1 thread after the last."""
+        get, put = blas_threads()
+        before = get()
+        images = images28(600, seed=1)
+        want = embed(model28, images)
+
+        def forward(part):
+            return get(), model28.forward(part)
+
+        got = []
+        callers = [threading.Thread(
+            target=lambda: got.append(_map_rows(forward, images, 256)))
+            for _ in range(nn._cpus() + 2)]
+        interval = sys.getswitchinterval()
+        put(3)   # a count no region sets
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+            assert get() == 3
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
+        assert not any(t.is_alive() for t in callers)
+        assert len(got) == len(callers)
+        for parts in got:
+            counts, outputs = zip(*parts)
+            assert set(counts) == {1 if nn._cpus() > 1 else 3}
+            feats, logits = zip(*outputs)
+            np.testing.assert_array_equal(np.concatenate(feats), want[0])
+            np.testing.assert_array_equal(np.concatenate(logits), want[1])
+
+    def test_without_a_blas_thread_setter_it_runs_inline(self, model28,
+                                                        monkeypatch):
+        images = images28(300, seed=2)
+        want = embed(model28, images)
+        monkeypatch.setattr(nn, "_blas_threads", lambda: None)
+        callers = set()
+        forward = model28.forward
+
+        def recorded(x):
+            callers.add(threading.get_ident())
+            return forward(x)
+
+        monkeypatch.setattr(model28, "forward", recorded)
+        feats, logits = embed(model28, images)
+        assert callers == {threading.get_ident()}
+        np.testing.assert_array_equal(feats, want[0])
+        np.testing.assert_array_equal(logits, want[1])
+
+    def test_a_caller_on_a_pool_thread_does_not_wait_on_the_pool(self):
+        """With every pool thread busy calling _map_rows, each caller takes
+        all its slices itself: none waits for a helper that never starts."""
+        if nn._cpus() < 2:
+            pytest.skip("one usable CPU: there is no pool")
+        pool = nn._executor()
+        rows = np.arange(100)
+        calls = [pool.submit(_map_rows, lambda part: part * 2, rows, 8)
+                 for _ in range(pool._max_workers)]
+        for call in calls:
+            np.testing.assert_array_equal(
+                np.concatenate(call.result(timeout=60)), rows * 2)
+
+
+FORKED_EMBED = """
+import os, signal, threading, time
+import numpy as np
+from oodnet import nn
+model = nn.Backbone(3, input_side=12, seed=0)
+images = np.random.default_rng(0).random((64, 12, 12), dtype=np.float32)
+want = nn.embed(model, images)[0]   # the parent's pool now has threads
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    def slow(rows):   # long enough that a pool thread takes a slice
+        time.sleep(0.05)
+        return threading.get_ident()
+    threads = set(nn._map_rows(slow, np.arange(8), 8))
+    same = (nn.embed(model, images)[0] == want).all()
+    os._exit(0 if same and (len(threads) > 1) == (nn._cpus() > 1) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def test_a_forked_child_maps_rows_on_a_pool_of_its_own():
+    """The child inherits the parent's pool but none of its threads: a
+    slice given to that pool would never run (and never be freed)."""
+    assert fresh_python(FORKED_EMBED).split() == ["0"]
