@@ -16,7 +16,8 @@ from .errors import (CorruptLength, DegenerateClass, FactorizationFailure,
 from .nn import _map_rows, checked_blob, extract_features, feature_rows
 
 DEFAULT_PERCENTILE = 0.975
-# feature rows in flight in distances_many; bounds the (rows, n*d) products
+# feature rows in flight in distances_many and in the head's forward_many;
+# bounds the (rows, n*d) products
 BLOCK_ROWS = 256
 
 
@@ -144,7 +145,7 @@ class DetectorModel:
         z = self._whiten_rows(rows)
         z -= self._offsets
         np.square(z, out=z)
-        return np.sqrt(z.reshape(len(rows), self.n_classes, -1).sum(axis=2))
+        return np.sqrt(z.reshape(len(rows), self.n_classes, xs.shape[1]).sum(axis=2))
 
     def calibrate(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Set each class threshold to the percentile (linear interpolation)

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import BLOCK_ROWS
 from .errors import NonFiniteLoss
-from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig, bounded,
-                 extract_features, feature_rows)
+from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig,
+                 _map_rows, bounded, extract_features, feature_rows)
 
 BCE_CLAMP = 1e-7
 
@@ -34,25 +35,22 @@ class OodHead(LayerStack):
     def spec(self) -> dict:
         return {"in_dim": self.in_dim, "tau": self.tau}
 
-    def forward_many(self, features: np.ndarray) -> np.ndarray:
-        # One pass on the calling thread, unlike embed (nn._map_rows):
-        # train_head_on_features runs backward on the Dense._x it writes.
-        # Checked after the cast: a float64 1e300 is inf as float32.
+    def forward_many(self, features: np.ndarray, tape=None) -> np.ndarray:
+        """(m,) probabilities of feature rows: one pass recording into tape
+        if given, else the rows spread over the usable CPUs (nn._map_rows)."""
+        # checked after the cast: a float64 1e300 is inf as float32
         h = feature_rows(np.asarray(features, dtype=self.dtype), self.in_dim)
-        for layer in self.layers:
-            h = layer.forward(h)
-        return _sigmoid(h[:, 0])
+        z = (self.run(h, tape) if tape is not None
+             else np.concatenate(_map_rows(self.run, h, BLOCK_ROWS)))
+        return _sigmoid(z[:, 0])
 
     def accepts(self, p):
         """p >= tau, inclusive (a normal verdict), for a scalar or array p."""
         return p >= self.tau
 
-    def backward(self, dlogit: np.ndarray):
-        """Backprop from the pre-sigmoid logit gradient (m,)."""
-        g = dlogit[:, None].astype(self.dtype)
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
-        return g
+    def backward(self, dlogit: np.ndarray, tape: list):
+        """Backprop from the pre-sigmoid logit gradient (m,) and its forward's tape."""
+        return self.run_back(dlogit[:, None].astype(self.dtype), tape)
 
 
 def _sigmoid(z):
@@ -120,14 +118,15 @@ def train_head_on_features(head: OodHead, feats_main, feats_anom,
         total = 0.0
         for i in range(0, len(X), cfg.batch_size):
             xb, yb = X[i:i + cfg.batch_size], y[i:i + cfg.batch_size]
-            p = head.forward_many(xb)
+            tape = []
+            p = head.forward_many(xb, tape)
             loss = bce_many(p, yb)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"head loss={loss} on batch "
                                     f"{i // cfg.batch_size} of epoch {epoch}")
             total += loss
             # d(bce)/d(logit) = p - y, averaged over the batch
-            head.backward((p - yb) / len(xb))
+            head.backward((p - yb) / len(xb), tape)
             optimizer.step(head.gradients())
         trace.append(total / len(X))
     return trace

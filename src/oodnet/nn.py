@@ -14,9 +14,11 @@ flat patch index that is built once per input shape; max pooling is
 output row is computed from its own input row alone: a convolution output
 from its own patch row, a pooled value from its own window, a dense
 output from its own input vector, whatever the block or batch size
-around it. For the same reason batched inference (``embed`` and the
-detector's ``distances_many``) runs its row slices on every usable CPU
-(``_map_rows``) and still gives the same bits.
+around it. For the same reason batched inference (``embed``, the head's
+``forward_many`` and the detector's ``distances_many``) runs its row
+slices on every usable CPU (``_map_rows``) and still gives the same bits.
+No layer keeps state: ``forward(x)`` returns ``(out, saved)``, and
+``backward(grad, saved)`` reads only its arguments (``LayerStack.run``).
 """
 from __future__ import annotations
 
@@ -70,8 +72,9 @@ BLOCK = 16
 
 
 class Layer:
-    """A layer without parameters. Each layer class defines its own
-    forward and backward: the benchmark's tracer wraps them per class."""
+    """A layer without parameters. ``forward(x)`` returns ``(out, saved)``
+    and ``backward(grad, saved)`` the input gradient. Each layer class
+    defines its own pair: the benchmark's tracer wraps them per class."""
     params = ()
     grads = ()
 
@@ -84,11 +87,8 @@ class ParamLayer(Layer):
     def __init__(self, shape, fan_in, n_out, rng, dtype):
         self.W = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
         self.b = np.zeros(n_out, dtype=dtype)
-        self.dW = self.db = self._x = None
-
-    @property
-    def params(self):
-        return [self.W, self.b]
+        self.params = [self.W, self.b]
+        self.dW = self.db = None
 
     @property
     def grads(self):
@@ -128,8 +128,8 @@ class Conv2D(ParamLayer):
     index of the patch pixels of one sample, cached per (C, H, W, k).
     Every output value is the dot product of its own patch row with one
     kernel, so it does not depend on the block or batch size it was
-    computed in. Backward rebuilds each block's patches for dW rather than
-    keeping them from the forward pass, and computes dx as one GEMM
+    computed in. ``saved`` is the padded input: backward rebuilds each
+    block's patches from it for dW, and computes dx as one GEMM
     followed by one strided add per kernel offset (col2im).
 
     With ``input_grad=False`` (a layer whose input is data) backward
@@ -159,11 +159,9 @@ class Conv2D(ParamLayer):
             y = _im2col(x[s:s + BLOCK], k) @ w
             y += self.b
             out[s:s + BLOCK] = y.reshape(-1, Ho, Wo, O).transpose(0, 3, 1, 2)
-        self._x = x
-        return out
+        return out, x
 
-    def backward(self, grad):
-        x = self._x
+    def backward(self, grad, x):
         k, p = self.kernel, self.pad
         m, O, Ho, Wo = grad.shape
         w = self.W.reshape(O, -1)
@@ -190,11 +188,10 @@ class Conv2D(ParamLayer):
 class ReLU(Layer):
     def forward(self, x):
         mask = x > 0
-        self._mask = mask
-        return x * mask
+        return x * mask, mask
 
-    def backward(self, grad):
-        return grad * self._mask
+    def backward(self, grad, mask):
+        return grad * mask
 
 
 class MaxPool2x2(Layer):
@@ -209,11 +206,10 @@ class MaxPool2x2(Layer):
     def forward(self, x):
         a, b, c, d = (x[..., i::2, j::2] for i, j in self.VIEWS)
         out = np.maximum(np.maximum(a, b), np.maximum(c, d))
-        self._x, self._out = x, out
-        return out
+        return out, (x, out)
 
-    def backward(self, grad):
-        x, out = self._x, self._out
+    def backward(self, grad, saved):
+        x, out = saved
         dx = np.empty(x.shape, dtype=grad.dtype)
         free = np.ones(grad.shape, dtype=bool)
         for i, j in self.VIEWS:
@@ -225,11 +221,10 @@ class MaxPool2x2(Layer):
 
 class Flatten(Layer):
     def forward(self, x):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, grad):
-        return grad.reshape(self._shape)
+    def backward(self, grad, shape):
+        return grad.reshape(shape)
 
 
 class Dense(ParamLayer):
@@ -237,13 +232,11 @@ class Dense(ParamLayer):
         super().__init__((n_in, n_out), n_in, n_out, rng, dtype)
 
     def forward(self, x):
-        self._x = x
         # fixed-order reduction: per-sample output independent of batch size
-        return np.einsum("mi,io->mo", x, self.W, optimize=False) + self.b
+        return np.einsum("mi,io->mo", x, self.W, optimize=False) + self.b, x
 
-    def backward(self, grad):
-        self._x = np.ascontiguousarray(self._x)
-        self.dW = self._x.T @ grad
+    def backward(self, grad, x):
+        self.dW = np.ascontiguousarray(x).T @ grad
         self.db = grad.sum(axis=0)
         return grad @ self.W.T
 
@@ -275,17 +268,29 @@ def checked_blob(arrays: dict, name: str, shape: tuple) -> np.ndarray:
 class LayerStack:
     """A model that is a list of layers; the base of Backbone and OodHead.
 
-    It owns the parameter and gradient lists, dtype casts and the named
-    parameter state. A subclass sets ``layers`` and ``dtype``, names in
-    ``blob_names`` each layer that has parameters (in layer order), and
-    returns from ``spec()`` the constructor arguments of its shape.
+    It owns the parameter and gradient lists, dtype casts, the named
+    parameter state and the one training tape (``run``, ``run_back``). A
+    subclass sets ``layers`` and ``dtype``, names in ``blob_names`` each
+    layer that has parameters (in layer order), and returns from
+    ``spec()`` the constructor arguments of its shape.
     """
     layers: list
     blob_names: tuple
     dtype: type
 
-    def spec(self) -> dict:
-        raise NotImplementedError
+    def run(self, h, tape=None, layers=None):
+        """h through layers (default: all), appending each saved to tape if given."""
+        for layer in self.layers if layers is None else layers:
+            h, saved = layer.forward(h)
+            if tape is not None:
+                tape.append(saved)
+        return h
+
+    def run_back(self, grad, tape, layers=None):
+        """grad back through layers (default: all), popping each saved off tape."""
+        for layer in reversed(self.layers if layers is None else layers):
+            grad = layer.backward(grad, tape.pop())
+        return grad
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.params]
@@ -365,35 +370,27 @@ class Backbone(LayerStack):
         return {"n_classes": n, "input_side": 4 * (math.isqrt(flat // 16) + 2),
                 "feature_dim": d}
 
-    def forward(self, images: np.ndarray):
-        """images (m, H, W) -> (features (m, d), logits (m, n))."""
+    def forward(self, images: np.ndarray, tape=None):
+        """images (m, H, W) -> (features (m, d), logits (m, n)); tape: see run."""
         if images.ndim != 3 or images.shape[1:] != (self.input_side,) * 2:
             raise ShapeMismatch(
                 f"expected (m, {self.input_side}, {self.input_side}), "
                 f"got {images.shape}")
-        h = np.asarray(images, dtype=self.dtype)[:, None, :, :]
-        for layer in self.trunk:
-            h = layer.forward(h)
-        return h, self.classifier.forward(h)
+        h = self.run(np.asarray(images, dtype=self.dtype)[:, None], tape, self.trunk)
+        return h, self.run(h, tape, [self.classifier])
 
-    def backward(self, dlogits: np.ndarray, dfeatures=None):
-        """Backpropagate gradients w.r.t. logits and (optionally) features
-        into every layer's parameter gradients. The images get no gradient:
-        the first convolution stops at its dW and db."""
-        g = self.classifier.backward(dlogits)
+    def backward(self, dlogits: np.ndarray, dfeatures, tape: list):
+        """Backpropagate gradients w.r.t. logits and (unless None) features
+        into every layer's parameter gradients, popping the forward's tape.
+        The images get none: the first convolution stops at its dW and db."""
+        g = self.run_back(dlogits, tape, [self.classifier])
         if dfeatures is not None:
             g = g + dfeatures
-        for layer in reversed(self.trunk):
-            g = layer.backward(g)
+        self.run_back(g, tape, self.trunk)
 
 
 # ---------------------------------------------------------------------------
 # batched inference on every usable CPU
-#
-# Only embed and the detector's distances_many use _map_rows. The rest
-# stays on the calling thread: training, whose backward reads the state
-# its forward wrote; OodHead.forward_many, whose Dense._x the head's
-# training reads back in its backward; and every batch-1 call, one slice.
 
 # Most rows a thread takes at once. Each pool thread allocates from a
 # malloc arena of its own, which keeps about one slice's working set for
@@ -496,11 +493,12 @@ def _map_rows(fn, rows, most: int) -> list:
     in all, take slices of ceil(min(most, len(rows)) / CPUs) rows, at most
     SLICE_ROWS, in turn inside a _parallel_region (OpenBLAS at 1 thread:
     BLAS threads on top of them only oversubscribe the CPUs). Otherwise
-    the slices, ``most`` rows each, run inline. fn must compute every
-    output row from its own input row alone: then no split changes a bit."""
+    the slices, ``most`` rows each (one empty slice for no rows), run
+    inline. fn must compute every output row from its own input row
+    alone: then no split changes a bit."""
     workers = _cpus()
     if len(rows) < 2 or workers < 2 or _blas_threads() is None:
-        return [fn(rows[s:s + most]) for s in range(0, len(rows), most)]
+        return [fn(rows[s:s + most]) for s in range(0, len(rows) or 1, most)]
     step = min(-(-min(most, len(rows)) // workers), SLICE_ROWS)
     jobs = iter(range(0, len(rows), step))
     take = threading.Lock()
@@ -593,15 +591,15 @@ class EpochRecord:
     accuracy: float
 
 
-def loss_and_grads(model: Backbone, centers, batch: MiniBatch, lam: float):
-    """One forward pass, the batch-summed combined loss (softmax
-    cross-entropy plus lam times the centroid term) and its unweighted
-    gradients.
+def loss_and_grads(model: Backbone, centers, batch: MiniBatch, lam: float, tape=None):
+    """One forward pass (recording into tape, if given), the batch-summed
+    combined loss (softmax cross-entropy plus lam times the centroid term)
+    and its unweighted gradients.
 
     -> (loss, logits, dlogits, dfeatures, center deltas); the last two are
     None when lam is 0, and centers is then not read.
     """
-    features, logits = model.forward(batch.images)
+    features, logits = model.forward(batch.images, tape)
     loss_s, dlogits = softmax_xent(logits, batch.labels)
     loss_c, dfeatures, deltas = 0.0, None, None
     if lam > 0:
@@ -628,13 +626,14 @@ def train_epoch(model: Backbone, centers, ds: LabeledDataset,
     total_correct = 0
     for i, batch in enumerate(make_batches(ds, cfg.batch_size, seed=seed)):
         m = len(batch)
+        tape = []
         loss, logits, dlogits, dfeat, deltas = loss_and_grads(
-            model, centers, batch, cfg.lam)
+            model, centers, batch, cfg.lam, tape)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss={loss} on batch {i} ({m} samples) of "
                                 f"the epoch with seed {seed}")
         model.backward(dlogits / m,
-                       None if dfeat is None else (cfg.lam / m) * dfeat)
+                       None if dfeat is None else (cfg.lam / m) * dfeat, tape)
         optimizer.step(model.gradients())
         if deltas is not None:
             centers.apply_deltas(deltas)
@@ -667,8 +666,9 @@ def grad_check(model: Backbone, batch: MiniBatch, eps: float = 1e-5,
     on a random subset of parameters. Requires a float64 model."""
     if model.dtype != np.float64:
         raise ValueError("gradient checking requires a float64 model")
-    _, _, dlogits, dfeat, _ = loss_and_grads(model, centers, batch, lam)
-    model.backward(dlogits, None if dfeat is None else lam * dfeat)
+    tape = []
+    _, _, dlogits, dfeat, _ = loss_and_grads(model, centers, batch, lam, tape)
+    model.backward(dlogits, None if dfeat is None else lam * dfeat, tape)
     params = model.parameters()
     grads = model.gradients()
 

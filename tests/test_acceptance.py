@@ -168,7 +168,8 @@ def test_criterion_1_gradient_correctness():
         p = np.clip(head.forward_many(X), 1e-7, 1 - 1e-7)
         return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).sum())
 
-    head.backward(head.forward_many(X) - y)
+    tape = []
+    head.backward(head.forward_many(X, tape) - y, tape)
     params, grads = head.parameters(), head.gradients()
     eps = 1e-6
     for k, p in enumerate(params):

@@ -311,10 +311,10 @@ class TestRunExperiment:
         depth, embedded = [0], []
         forward, train_epoch = nn.Backbone.forward, nn.train_epoch
 
-        def counted_forward(model, images):
+        def counted_forward(model, images, tape=None):
             if not depth[0]:
                 embedded.append(len(images))
-            return forward(model, images)
+            return forward(model, images, tape)
 
         def training(*args, **kwargs):
             depth[0] += 1

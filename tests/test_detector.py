@@ -272,6 +272,18 @@ class TestDistanceKernel:
         with pytest.raises(DimMismatch):
             det.distances_many(xs[:, :83])
 
+    def test_zero_rows_give_empty_results(self, calibrated):
+        """No feature rows score to empty arrays, and calibrating on none
+        finds each class without samples."""
+        det, xs = calibrated
+        empty = xs[:0]
+        assert det.distances_many(empty).shape == (0, det.n_classes)
+        assert det.is_normal_many(empty).shape == (0,)
+        assert det.anomaly_score_many(empty).shape == (0,)
+        check = DetectorModel(det.stats, det.percentile)
+        with pytest.raises(DegenerateClass):
+            check.calibrate(empty, np.zeros(0, dtype=np.int64))
+
     @pytest.mark.parametrize("call", [
         lambda det, x: det.distances_many(x),
         lambda det, x: det.is_normal_many(x),

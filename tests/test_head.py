@@ -69,6 +69,23 @@ class TestHeadForward:
         head.layers[-1].b += 0.7
         assert head_forward(head, x) >= before
 
+    def test_zero_rows_give_zero_probabilities(self):
+        p = OodHead(4, seed=0).forward_many(np.zeros((0, 4)))
+        assert p.shape == (0,) and p.dtype == np.float32
+
+    def test_batched_rows_equal_one_row_calls(self):
+        """Rows spread over the thread pool (nn._map_rows) and one pass
+        recording a training tape give each row the bits of its own
+        one-row call."""
+        head = OodHead(84, seed=0)
+        feats = np.random.default_rng(3).random((600, 84), dtype=np.float32)
+        singles = np.array([head_forward(head, f) for f in feats],
+                           dtype=np.float32)
+        for n in (2, 255, 256, 257, 600):
+            np.testing.assert_array_equal(head.forward_many(feats[:n]),
+                                          singles[:n])
+        np.testing.assert_array_equal(head.forward_many(feats, []), singles)
+
 
 class TestBce:
     def test_half_probability(self):
@@ -150,8 +167,9 @@ class TestTrainHead:
             p = np.clip(head.forward_many(X), 1e-7, 1 - 1e-7)
             return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).sum())
 
-        p0 = head.forward_many(X)
-        head.backward(p0 - y)
+        tape = []
+        p0 = head.forward_many(X, tape)
+        head.backward(p0 - y, tape)
         params, grads = head.parameters(), head.gradients()
         eps = 1e-6
         worst = 0.0

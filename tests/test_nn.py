@@ -100,7 +100,7 @@ class TestForward:
         layer.W[...] = np.eye(5)
         layer.b[...] = 0
         x = rng.random((3, 5))
-        np.testing.assert_allclose(layer.forward(x), x)
+        np.testing.assert_allclose(layer.forward(x)[0], x)
 
     def test_matches_explicit_loop_reference(self):
         model = Backbone(3, input_side=12, seed=0).astype(np.float64)
@@ -214,10 +214,11 @@ class TestTraining:
         opt = SGD(model.parameters(), learning_rate=1e-3, momentum=0.0)
         losses = []
         for _ in range(10):
-            _, logits = model.forward(ds.images.astype(np.float64))
+            tape = []
+            _, logits = model.forward(ds.images.astype(np.float64), tape)
             loss, dlogits = softmax_xent(logits, ds.labels)
             losses.append(loss)
-            model.backward(dlogits / len(ds))
+            model.backward(dlogits / len(ds), None, tape)
             opt.step(model.gradients())
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -233,8 +234,8 @@ class TestGradCheck:
         # scale the analytic gradient by 1.1 via a wrapped backward
         original = model.backward
 
-        def tainted(dlogits, dfeatures=None):
-            out = original(dlogits, dfeatures)
+        def tainted(dlogits, dfeatures, tape):
+            out = original(dlogits, dfeatures, tape)
             for layer in model.layers:
                 for g in layer.grads:
                     g *= 1.1
@@ -259,11 +260,11 @@ class TestConv2D:
         layer = Conv2D(2, 3, 5, pad, rng, np.float64)
         layer.b[...] = rng.normal(size=3)
         x = rng.normal(size=(BLOCK + 3, 2, 8, 8))
-        out = layer.forward(x)
+        out, saved = layer.forward(x)
         np.testing.assert_allclose(out, ref_conv(x, layer.W, layer.b, pad),
                                    rtol=1e-10, atol=1e-12)
         grad = rng.normal(size=out.shape)
-        dx = layer.backward(grad)
+        dx = layer.backward(grad, saved)
         ref_dW, ref_db, ref_dx = ref_conv_backward(x, layer.W, grad, pad)
         for got, want in ((layer.dW, ref_dW), (layer.db, ref_db), (dx, ref_dx)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -271,8 +272,8 @@ class TestConv2D:
         first = Conv2D(2, 3, 5, pad, np.random.default_rng(7), np.float64,
                        input_grad=False)
         first.W[...], first.b[...] = layer.W, layer.b
-        first.forward(x)
-        assert first.backward(grad) is None
+        _, saved = first.forward(x)
+        assert first.backward(grad, saved) is None
         np.testing.assert_array_equal(first.dW, layer.dW)
         np.testing.assert_array_equal(first.db, layer.db)
 
@@ -303,8 +304,8 @@ class TestMaxPool:
         x[0, 0] = 1.0  # every window of this channel is a four-way tie
         grad = rng.normal(size=(3, 2, 4, 4)).astype(np.float32)
         pool = MaxPool2x2()
-        out = pool.forward(x)
-        dx = pool.backward(grad)
+        out, saved = pool.forward(x)
+        dx = pool.backward(grad, saved)
         ref_dx = np.zeros_like(x)
         for s, c, i, j in np.ndindex(grad.shape):
             window = x[s, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
@@ -317,9 +318,9 @@ class TestMaxPool:
         rng = np.random.default_rng(0)
         pool = MaxPool2x2()
         x = rng.normal(size=(2, 3, 6, 6))
-        pool.forward(x)
+        _, saved = pool.forward(x)
         g = rng.normal(size=(2, 3, 3, 3))
-        dx = pool.backward(g)
+        dx = pool.backward(g, saved)
         assert dx.sum() == pytest.approx(g.sum(), rel=1e-12)
         # each 2x2 window receives gradient in exactly one slot
         win = dx.reshape(2, 3, 3, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5)
@@ -327,34 +328,59 @@ class TestMaxPool:
         assert nonzero.max() <= 1
 
 
-def without_state_reads(layer):
-    """Swap layer's class for a subclass that raises on reading the state
-    a layer keeps for its backward (_x, _mask, _out, _shape)."""
-    cls = type(layer)
-
-    def getattribute(self, name):
-        if name in ("_x", "_mask", "_out", "_shape"):
-            raise AssertionError(f"{cls.__name__} read {name}")
-        return object.__getattribute__(self, name)
-
-    layer.__class__ = type(cls.__name__, (cls,), {"__getattribute__": getattribute})
-
-
 def test_inference_forwards_read_no_layer_state():
-    """An inference forward only writes the state a backward reads, never
-    reads it back: embed and the head's forward_many give the same bits
-    when every such read raises, so threads could share one model."""
+    """An inference forward keeps nothing on a layer: embed and the
+    head's forward_many, batched and on one row, leave every layer's
+    vars() with the same keys bound to the same objects, and give the
+    same bits when run again, so threads can share one model."""
     model = Backbone(3, input_side=12, seed=0)
     head = OodHead(model.feature_dim, seed=0)
     images = synth_blobs(3, 5, side=12, seed=1).images
+    layers = model.layers + head.layers
+    before = [dict(vars(layer)) for layer in layers]
     feats, logits = embed(model, images)
     p = head.forward_many(feats)
-    for layer in model.layers + head.layers:
-        without_state_reads(layer)
+    p1 = head.forward_many(feats[:1])
+    for layer, kept in zip(layers, before):
+        now = vars(layer)
+        assert now.keys() == kept.keys(), type(layer).__name__
+        assert all(now[k] is v for k, v in kept.items()), type(layer).__name__
     got_feats, got_logits = embed(model, images)
     np.testing.assert_array_equal(got_feats, feats)
     np.testing.assert_array_equal(got_logits, logits)
     np.testing.assert_array_equal(head.forward_many(got_feats), p)
+    np.testing.assert_array_equal(p1, p[:1])
+
+
+def test_an_inference_forward_inside_a_training_step_moves_no_gradient():
+    """Inference between a training forward and its backward, as another
+    thread could run it, leaves every backbone and head gradient the
+    same bits: the backward reads only the tape of its own forward."""
+    model = Backbone(3, input_side=12, seed=0)
+    head = OodHead(model.feature_dim, seed=0)
+    ds = synth_blobs(3, 6, side=12, seed=2)
+    other = synth_blobs(3, 5, side=12, seed=3).images
+
+    def gradients(interleave):
+        tape = []
+        feats, logits = model.forward(ds.images, tape)
+        _, dlogits = softmax_xent(logits, ds.labels)
+        if interleave:
+            other_feats = embed(model, other)[0]
+            model.forward(other[:1])
+        model.backward(dlogits, feats, tape)
+        assert tape == []
+        head_tape = []
+        p = head.forward_many(feats, head_tape)
+        if interleave:
+            head.forward_many(other_feats)
+            head.forward_many(other_feats[:1])
+        head.backward(p - (ds.labels > 0), head_tape)
+        assert head_tape == []
+        return [g.copy() for g in model.gradients() + head.gradients()]
+
+    for want, got in zip(gradients(False), gradients(True), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestExtractFeatures:
@@ -440,6 +466,25 @@ class TestMapRows:
             assert get() == 3
         finally:
             put(before)
+
+    def test_the_open_region_count_changes_only_under_the_lock(
+            self, model28, monkeypatch):
+        """Every write to the open-region record holds nn._lock: a write
+        without it could lose a concurrent region's update."""
+        blas_threads()
+        if nn._cpus() < 2:   # open a region on one CPU too
+            monkeypatch.setattr(nn, "_cpus", lambda: 2)
+
+        class Guarded(dict):
+            def __setitem__(self, key, value):
+                assert nn._lock.locked(), f"_region[{key!r}] set unlocked"
+                super().__setitem__(key, value)
+
+        region = Guarded(nn._region)
+        monkeypatch.setattr(nn, "_region", region)
+        _map_rows(lambda rows: rows, np.arange(8), 2)
+        embed(model28, images28(40))
+        assert region["open"] == 0
 
     def test_the_first_region_to_open_trims_the_heap(self, monkeypatch):
         blas_threads()

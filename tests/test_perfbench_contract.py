@@ -7,10 +7,13 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oodnet.cli  # noqa: F401  (imports every other oodnet module)
-from oodnet import detector, experiment, nn
+from oodnet import detector, experiment, head, nn
+from oodnet.centerloss import Centers
+from oodnet.data import synth_blobs
 from test_cli import synth_config
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -62,6 +65,9 @@ def snapshot():
 
 
 def test_installed_tracer_records_and_restores(spans, tmp_path):
+    # start nn's thread pool first: the run would otherwise bind nn._pool
+    # when this test runs alone, which is no binding the tracer made
+    nn.embed(nn.Backbone(3, input_side=12), np.zeros((2, 12, 12), np.float32))
     before = snapshot()
     tracer = spans.Tracer()
     with tracer.installed():
@@ -81,3 +87,28 @@ def test_installed_tracer_records_and_restores(spans, tmp_path):
         assert after[key].keys() == bindings.keys(), key
         changed = [n for n, v in bindings.items() if after[key][n] is not v]
         assert not changed, f"{key}: {changed}"
+
+
+def test_traced_training_derives_every_layer_metric(spans):
+    """One batch-64 training step and one head training run, traced,
+    give a time to every backbone layer group in both directions, the
+    samples backpropagated and the head's training rate."""
+    ds = synth_blobs(2, 32, side=12, seed=0)
+    model = nn.Backbone(2, input_side=12, seed=0)
+    centers = Centers(2, model.feature_dim, seed=0)
+    feats = np.random.default_rng(0).random((40, model.feature_dim),
+                                            dtype=np.float32)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        tracer.begin_op("step")
+        nn.train_epoch(model, centers, ds,
+                       nn.TrainConfig(epochs=1, batch_size=64, lam=0.1))
+        head.train_head_on_features(head.OodHead(model.feature_dim, seed=0),
+                                    feats[:24], feats[24:],
+                                    head.HeadTrainConfig(epochs=2))
+    metrics = spans.layer_metrics(tracer)
+    for group in ("conv1", "pool1", "conv2", "pool2", "dense"):
+        for direction in ("fwd", "bwd"):
+            assert metrics[f"nn.{group}.{direction}_ms"][0] > 0, (group, direction)
+    assert metrics["nn.backward_samples"][0] == len(ds)
+    assert metrics["head.train_samples_per_s"][0] > 0
