@@ -17,7 +17,7 @@ from .archive import ModelState, load_model, save_model
 from .errors import (ConfigError, CorruptLength, OodnetError, json_value,
                      parse_json)
 from .evalkit import write_csv, write_metrics_csv
-from .experiment import (RunConfig, _load_split, _tag, evaluate,
+from .experiment import (RunConfig, _load_split, archive_path, evaluate,
                          run_calibration, run_experiment, run_stage_one,
                          run_stage_two)
 from .nn import embed, extract_features
@@ -36,10 +36,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _archive_path(cfg: RunConfig, args) -> str:
-    if args.model:
-        return args.model
-    return os.path.join(cfg.output_dir,
-                        f"model_{_tag(cfg.lambdas[0], cfg.seeds[0])}.oodn")
+    return args.model or archive_path(cfg.output_dir, cfg.lambdas[0], cfg.seeds[0])
 
 
 def _load_calibrated(cfg: RunConfig, args) -> ModelState:

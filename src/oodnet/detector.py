@@ -16,9 +16,6 @@ from .errors import (CorruptLength, DegenerateClass, FactorizationFailure,
 from .nn import _map_rows, checked_blob, extract_features, feature_rows
 
 DEFAULT_PERCENTILE = 0.975
-# feature rows in flight in distances_many and in the head's forward_many;
-# bounds the (rows, n*d) products
-BLOCK_ROWS = 256
 
 
 def check_percentile(value, error: type, where: str = "percentile"):
@@ -135,10 +132,10 @@ class DetectorModel:
         return self.distances_many(np.atleast_2d(x))[0]
 
     def distances_many(self, xs: np.ndarray) -> np.ndarray:
-        """(M, n_classes) distance matrix, with about BLOCK_ROWS rows in
-        flight, spread over the usable CPUs (nn._map_rows)."""
+        """(M, n_classes) distance matrix, in row slices spread over the
+        usable CPUs (nn._map_rows)."""
         xs = feature_rows(np.asarray(xs), self._maps.shape[0])
-        return np.concatenate(_map_rows(self._block_distances, xs, BLOCK_ROWS))
+        return np.concatenate(_map_rows(self._block_distances, xs))
 
     def _block_distances(self, xs: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(xs, dtype=np.float64)

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the one reader of the
-JSON it reads from outside (config files, archive headers).
+"""Exception types shared across the toolkit, the one label-range rule,
+and the one reader of the JSON it reads from outside (config files,
+archive headers).
 
 The rule for such a JSON value: a bool stands only for bool, an integer
 or float where a float is expected must be a finite float, and a number
@@ -40,6 +41,13 @@ class DimMismatch(OodnetError):
 
 class LabelOutOfRange(OodnetError):
     pass
+
+
+def check_labels(labels, n: int):
+    """labels, an integer array whose values must all lie in [0, n)."""
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n:
+        raise LabelOutOfRange(f"labels must lie in [0, {n})")
+    return labels
 
 
 class NonFiniteLoss(OodnetError):

@@ -8,7 +8,7 @@ from statistics import median
 
 import numpy as np
 
-from .errors import DegenerateInput, LabelOutOfRange, SingleClass
+from .errors import DegenerateInput, SingleClass, check_labels
 
 
 def confusion(true: np.ndarray, pred: np.ndarray, n: int) -> np.ndarray:
@@ -17,8 +17,7 @@ def confusion(true: np.ndarray, pred: np.ndarray, n: int) -> np.ndarray:
     true = np.asarray(true, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
     for labels in (true, pred):
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= n:
-            raise LabelOutOfRange(f"labels must lie in [0, {n})")
+        check_labels(labels, n)
     counts = np.zeros((n, n), dtype=np.int64)
     np.add.at(counts, (true, pred), 1)
     return counts

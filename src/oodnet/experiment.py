@@ -59,6 +59,11 @@ def _tag(lam: float, seed: int) -> str:
     return f"lam{lam:g}_seed{seed}"
 
 
+def archive_path(output_dir: str, lam: float, seed: int) -> str:
+    """Where the (lam, seed) cell's model archive is written and read."""
+    return os.path.join(output_dir, f"model_{_tag(lam, seed)}.oodn")
+
+
 @dataclass
 class SynthSpec:
     """A synthetic source: synth_blobs of n_classes in one layout; the test
@@ -278,7 +283,7 @@ def run_experiment(cfg: RunConfig) -> list[CellResult]:
             metric_rows.extend(cell.rows())
 
             tag = _tag(lam, seed)
-            save_model(os.path.join(cfg.output_dir, f"model_{tag}.oodn"), state)
+            save_model(archive_path(cfg.output_dir, lam, seed), state)
             write_roc_csv(cell.semi_roc,
                           os.path.join(cfg.output_dir, f"roc_semi_{tag}.csv"))
             if cell.sup_roc is not None:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import BLOCK_ROWS
 from .errors import NonFiniteLoss
 from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig,
                  _map_rows, bounded, extract_features, feature_rows)
@@ -41,7 +40,7 @@ class OodHead(LayerStack):
         # checked after the cast: a float64 1e300 is inf as float32
         h = feature_rows(np.asarray(features, dtype=self.dtype), self.in_dim)
         z = (self.run(h, tape) if tape is not None
-             else np.concatenate(_map_rows(self.run, h, BLOCK_ROWS)))
+             else np.concatenate(_map_rows(self.run, h)))
         return _sigmoid(z[:, 0])
 
     def accepts(self, p):

@@ -34,8 +34,8 @@ import numpy as np
 
 from .centerloss import center_loss, center_loss_grads, combine
 from .data import ROLE_MAIN_TRAIN, LabeledDataset, MiniBatch, make_batches
-from .errors import (DimMismatch, EmptyDataset, LabelOutOfRange,
-                     NonFiniteFeature, NonFiniteLoss, ShapeMismatch)
+from .errors import (DimMismatch, EmptyDataset, NonFiniteFeature,
+                     NonFiniteLoss, ShapeMismatch, check_labels)
 
 
 def bounded(default, least):
@@ -65,9 +65,8 @@ class TrainConfig(SGDConfig):
 # layers
 
 
-# Samples per im2col block. One block's patch matrix is about 1 MB for
-# 28x28 inputs; a batch of 256 at once would need 20 MB, enough to show in
-# the peak memory of training and embedding.
+# Samples per im2col block. One block's patch matrix is about 1.3 MB for
+# 28x28 inputs; the training batch of 64 in one block would need 5 MB.
 BLOCK = 16
 
 
@@ -392,10 +391,12 @@ class Backbone(LayerStack):
 # ---------------------------------------------------------------------------
 # batched inference on every usable CPU
 
-# Most rows a thread takes at once. Each pool thread allocates from a
+# Most rows in one slice of _map_rows. Each pool thread allocates from a
 # malloc arena of its own, which keeps about one slice's working set for
 # the next: slices of 128 images raised score-stream's peak memory by
-# ~7 MB, at no measurable gain in speed.
+# ~7 MB, at no measurable gain in speed. Inline, pinned to one CPU of a
+# Xeon, 32-row slices embedded 2000 28x28 images in a median 255 ms over
+# 8 runs, against 293 ms at 256.
 SLICE_ROWS = 32
 _pool = None
 _lock = threading.Lock()                # guards _pool and _region
@@ -426,15 +427,6 @@ def _blas_threads():
     return get, put
 
 
-@functools.cache
-def _malloc_trim():
-    """The C library's malloc_trim (glibc), or None where it has none."""
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
 def _executor():
     """The pool's threads: one per usable CPU but the caller's own."""
     global _pool
@@ -461,19 +453,12 @@ if hasattr(os, "register_at_fork"):   # absent where there is no fork
 @contextlib.contextmanager
 def _parallel_region():
     """OpenBLAS at 1 thread while any such region is open: the first to
-    open saves the count and the last to close restores it. The first also
-    gives the heap's free memory back (malloc_trim): a pool thread's
-    malloc arena cannot reuse what the caller freed before the region, so
-    that memory would otherwise add to the peak (train-lenet's by ~4 MB,
-    embedding after its training)."""
+    open saves the count and the last to close restores it."""
     get, put = _blas_threads()
     with _lock:
         if not _region["open"]:
             _region["saved"] = get()
             put(1)
-            trim = _malloc_trim()
-            if trim:
-                trim(0)
         _region["open"] += 1
     try:
         yield
@@ -484,23 +469,24 @@ def _parallel_region():
                 put(_region["saved"])
 
 
-def _map_rows(fn, rows, most: int) -> list:
-    """[fn(slice) for each consecutive row slice of rows], in row order,
-    with about ``most`` rows in flight.
+def _map_rows(fn, rows) -> list:
+    """[fn(slice) for each consecutive row slice of rows], in row order.
 
-    With more than one row, more than one usable CPU and numpy's OpenBLAS
-    thread setter, the calling thread and the pool's threads, one per CPU
-    in all, take slices of ceil(min(most, len(rows)) / CPUs) rows, at most
-    SLICE_ROWS, in turn inside a _parallel_region (OpenBLAS at 1 thread:
-    BLAS threads on top of them only oversubscribe the CPUs). Otherwise
-    the slices, ``most`` rows each (one empty slice for no rows), run
-    inline. fn must compute every output row from its own input row
-    alone: then no split changes a bit."""
+    Slices have ceil(len(rows) / CPUs) rows, at most SLICE_ROWS; no rows
+    make one empty slice. With more than one row, more than one usable CPU
+    and numpy's OpenBLAS thread setter, the calling thread and the pool's
+    threads, one per CPU in all, take them in turn inside a
+    _parallel_region (OpenBLAS at 1 thread: BLAS threads on top of them
+    only oversubscribe the CPUs); otherwise they run inline. Once fn
+    raises on the calling thread, no further slice is started. fn must
+    compute every output row from its own input row alone: then no split
+    changes a bit."""
     workers = _cpus()
+    step = min(-(-len(rows) // workers), SLICE_ROWS) or 1
+    starts = range(0, len(rows) or 1, step)
     if len(rows) < 2 or workers < 2 or _blas_threads() is None:
-        return [fn(rows[s:s + most]) for s in range(0, len(rows) or 1, most)]
-    step = min(-(-min(most, len(rows)) // workers), SLICE_ROWS)
-    jobs = iter(range(0, len(rows), step))
+        return [fn(rows[s:s + step]) for s in starts]
+    jobs = iter(starts)
     take = threading.Lock()
     out = {}
 
@@ -517,32 +503,31 @@ def _map_rows(fn, rows, most: int) -> list:
         try:
             drain()
         finally:
+            with take:   # the caller is done, or fn raised: hand out no more
+                jobs = iter(())
             # a helper that has not started would find no job left: it need
             # not run, so a caller that is itself a pool thread never waits
             # on a pool whose threads all wait
             for helper in helpers:
                 if not helper.cancel():
                     helper.result()
-    return [out[s] for s in range(0, len(rows), step)]
+    return [out[s] for s in starts]
 
 
-def embed(model: Backbone, images: np.ndarray,
-          batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """(features, logits) for a stack of images, with about batch_size
-    images in flight, spread over the usable CPUs (_map_rows); batching
-    does not affect values."""
+def embed(model: Backbone, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(features, logits) for a stack of images, in row slices spread over
+    the usable CPUs (_map_rows); the slicing does not affect values."""
     if images.ndim == 2:
         images = images[None]
     if not len(images):
         raise EmptyDataset("no images to embed")
-    feats, logits = zip(*_map_rows(model.forward, images, batch_size))
+    feats, logits = zip(*_map_rows(model.forward, images))
     return np.concatenate(feats), np.concatenate(logits)
 
 
-def extract_features(model: Backbone, images: np.ndarray,
-                     batch_size: int = 256) -> np.ndarray:
-    """Deep features for a stack of images; batching does not affect values."""
-    return embed(model, images, batch_size)[0]
+def extract_features(model: Backbone, images: np.ndarray) -> np.ndarray:
+    """Deep features for a stack of images; the slicing does not affect values."""
+    return embed(model, images)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +536,7 @@ def extract_features(model: Backbone, images: np.ndarray,
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Summed cross-entropy of softmax over the batch, plus its gradient."""
-    labels = np.asarray(labels)
-    n = logits.shape[1]
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n:
-        raise LabelOutOfRange(f"labels must lie in [0, {n})")
+    labels = check_labels(np.asarray(labels), logits.shape[1])
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -394,28 +395,28 @@ class TestExtractFeatures:
         images = np.zeros((7, 12, 12), dtype=np.float32)
         assert extract_features(small_model, images).shape == (7, 84)
 
-    @pytest.mark.parametrize("batch_size", [1, BLOCK - 1, BLOCK, BLOCK + 1])
-    def test_repeat_calls_bit_identical(self, small_model, batch_size):
+    @pytest.mark.parametrize("b", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_repeat_calls_bit_identical(self, small_model, b, monkeypatch):
         images = (np.random.default_rng(6).random((2 * BLOCK + 5, 12, 12))
                   .astype(np.float32))
-        feats, logits = embed(small_model, images, batch_size=batch_size)
-        whole_feats, whole_logits = embed(small_model, images,
-                                          batch_size=len(images))
+        whole_feats, whole_logits = small_model.forward(images)
+        monkeypatch.setattr(nn, "SLICE_ROWS", b)
+        feats, logits = embed(small_model, images)
         np.testing.assert_array_equal(feats, whole_feats)
         np.testing.assert_array_equal(logits, whole_logits)
-        np.testing.assert_array_equal(
-            extract_features(small_model, images, batch_size=batch_size), feats)
+        np.testing.assert_array_equal(extract_features(small_model, images), feats)
 
     @pytest.mark.parametrize("side", [12, 16, 20, 24, 28])
-    def test_batch_invariant_at_every_side(self, side):
+    def test_batch_invariant_at_every_side(self, side, monkeypatch):
         # the small blocks of sides 16, 20 and 24 are where the GEMM's
         # operand layout picks the kernel, and with it the rounding
         model = Backbone(10, input_side=side, seed=0)
         images = np.random.default_rng(side).random((70, side, side),
                                                     dtype=np.float32)
-        whole_feats, whole_logits = embed(model, images, batch_size=len(images))
-        for batch_size in [*range(1, 21), 33, 65]:
-            feats, logits = embed(model, images, batch_size=batch_size)
+        whole_feats, whole_logits = model.forward(images)
+        for b in [*range(1, 21), 33, 65]:
+            monkeypatch.setattr(nn, "SLICE_ROWS", b)
+            feats, logits = embed(model, images)
             np.testing.assert_array_equal(feats, whole_feats)
             np.testing.assert_array_equal(logits, whole_logits)
 
@@ -449,19 +450,20 @@ class TestMapRows:
         np.testing.assert_array_equal(feats, np.concatenate([f for f, _ in chunks]))
         np.testing.assert_array_equal(logits, np.concatenate([g for _, g in chunks]))
 
-    @pytest.mark.parametrize("n,most", [(1, 256), (2, 1), (7, 3), (257, 256),
-                                        (4097, 256)])
-    def test_slices_come_back_in_row_order(self, n, most):
-        parts = _map_rows(lambda rows: rows, np.arange(n), most)
+    @pytest.mark.parametrize("n,cap", [(0, 256), (1, 256), (2, 1), (7, 3),
+                                       (257, 256), (4097, 256)])
+    def test_slices_come_back_in_row_order(self, n, cap, monkeypatch):
+        monkeypatch.setattr(nn, "SLICE_ROWS", cap)
+        parts = _map_rows(lambda rows: rows, np.arange(n))
         np.testing.assert_array_equal(np.concatenate(parts), np.arange(n))
-        assert max(map(len, parts)) <= most
+        assert max(map(len, parts)) <= cap
 
     def test_blas_runs_at_one_thread_inside_and_is_restored_after(self):
         get, put = blas_threads()
         before = get()
         put(3)   # a count no region sets
         try:
-            inside = _map_rows(lambda rows: get(), np.arange(8), 2)
+            inside = _map_rows(lambda rows: get(), np.arange(8))
             assert inside == [1 if nn._cpus() > 1 else 3] * len(inside)
             assert get() == 3
         finally:
@@ -482,16 +484,29 @@ class TestMapRows:
 
         region = Guarded(nn._region)
         monkeypatch.setattr(nn, "_region", region)
-        _map_rows(lambda rows: rows, np.arange(8), 2)
+        _map_rows(lambda rows: rows, np.arange(8))
         embed(model28, images28(40))
         assert region["open"] == 0
 
-    def test_the_first_region_to_open_trims_the_heap(self, monkeypatch):
+    def test_no_slice_starts_once_the_caller_raises(self, monkeypatch):
+        """An exception from fn on the calling thread, KeyboardInterrupt
+        included, leaves the pool's threads only the slices they hold."""
         blas_threads()
-        calls = []
-        monkeypatch.setattr(nn, "_malloc_trim", lambda: calls.append)
-        _map_rows(lambda rows: rows, np.arange(8), 2)
-        assert calls == ([0] if nn._cpus() > 1 else [])
+        monkeypatch.setattr(nn, "_cpus", lambda: 2)   # one helper thread
+        monkeypatch.setattr(nn, "SLICE_ROWS", 1)
+        caller = threading.get_ident()
+        started = []
+
+        def fn(rows):
+            started.append(rows[0])
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            time.sleep(0.005)
+            return rows
+
+        with pytest.raises(KeyboardInterrupt):
+            _map_rows(fn, np.arange(200))
+        assert len(started) < 20
 
     def test_overlapping_regions_keep_one_blas_thread_and_restore_it(
             self, model28):
@@ -509,7 +524,7 @@ class TestMapRows:
 
         got = []
         callers = [threading.Thread(
-            target=lambda: got.append(_map_rows(forward, images, 256)))
+            target=lambda: got.append(_map_rows(forward, images)))
             for _ in range(nn._cpus() + 2)]
         interval = sys.getswitchinterval()
         put(3)   # a count no region sets
@@ -557,7 +572,7 @@ class TestMapRows:
             pytest.skip("one usable CPU: there is no pool")
         pool = nn._executor()
         rows = np.arange(100)
-        calls = [pool.submit(_map_rows, lambda part: part * 2, rows, 8)
+        calls = [pool.submit(_map_rows, lambda part: part * 2, rows)
                  for _ in range(pool._max_workers)]
         for call in calls:
             np.testing.assert_array_equal(
@@ -577,7 +592,7 @@ if pid == 0:
     def slow(rows):   # long enough that a pool thread takes a slice
         time.sleep(0.05)
         return threading.get_ident()
-    threads = set(nn._map_rows(slow, np.arange(8), 8))
+    threads = set(nn._map_rows(slow, np.arange(8)))
     same = (nn.embed(model, images)[0] == want).all()
     os._exit(0 if same and (len(threads) > 1) == (nn._cpus() > 1) else 1)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
