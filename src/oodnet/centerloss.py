@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch
+from .errors import DimMismatch, check_labels
 
 
 class Centers:
@@ -45,8 +45,7 @@ def _check(features, labels, centers):
             f"features {features.shape} vs centroid dim {centers.dim}")
     if len(features) != len(labels):
         raise DimMismatch("features/labels length mismatch")
-    if len(labels) and (labels.min() < 0 or labels.max() >= centers.n_classes):
-        raise DimMismatch("label outside centroid table")
+    check_labels(labels, centers.n_classes)
 
 
 def center_loss(features: np.ndarray, labels: np.ndarray,

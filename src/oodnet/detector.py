@@ -93,6 +93,8 @@ def fit_stats(features: np.ndarray, labels: np.ndarray) -> list[ClassStats]:
     """Per-class Gaussian statistics, index j = dense class j."""
     labels = np.asarray(labels)
     features = np.asarray(features, dtype=np.float64)
+    if not len(labels):
+        raise DegenerateClass("no samples to fit")
     n = int(labels.max()) + 1
     return [ClassStats.fit(features[labels == j]) for j in range(n)]
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteLoss
+from .errors import EmptyDataset, NonFiniteLoss
 from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig,
                  _map_rows, bounded, extract_features, feature_rows)
 
@@ -106,6 +106,8 @@ def train_head_on_features(head: OodHead, feats_main, feats_anom,
     rng = np.random.default_rng(cfg.seed)
     optimizer = SGD(head.parameters(), cfg.learning_rate, cfg.momentum)
     k = min(len(feats_main), len(feats_anom))
+    if not k:
+        raise EmptyDataset("no normal or no anomaly features to train on")
     trace = []
     for epoch in range(cfg.epochs):
         idx_main = rng.choice(len(feats_main), size=k, replace=False)

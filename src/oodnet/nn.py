@@ -22,7 +22,6 @@ No layer keeps state: ``forward(x)`` returns ``(out, saved)``, and
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -399,8 +398,8 @@ class Backbone(LayerStack):
 # 8 runs, against 293 ms at 256.
 SLICE_ROWS = 32
 _pool = None
-_lock = threading.Lock()                # guards _pool and _region
-_region = {"open": 0, "saved": None}    # open regions, BLAS threads before
+_busy = threading.Lock()       # held by the one call that runs on the pool
+_inside = threading.local()    # .pooled: this thread drains a pooled call
 
 
 @functools.cache
@@ -427,46 +426,16 @@ def _blas_threads():
     return get, put
 
 
-def _executor():
-    """The pool's threads: one per usable CPU but the caller's own."""
-    global _pool
-    with _lock:
-        if _pool is None:
-            # imported on first use: it adds ~6 ms to every import of oodnet
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_cpus() - 1)
-    return _pool
-
-
 def _forget_pool():
-    """A forked child has none of its parent's pool threads: a slice
-    given to that pool would never run, and would never be freed."""
-    global _pool, _lock
-    _pool, _lock = None, threading.Lock()
-    _region.update(open=0, saved=None)
+    """A forked child has none of its parent's threads: a slice given to
+    the inherited pool would never run (nor be freed), and a _busy held
+    by a parent thread would never be released."""
+    global _pool, _busy
+    _pool, _busy = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):   # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-@contextlib.contextmanager
-def _parallel_region():
-    """OpenBLAS at 1 thread while any such region is open: the first to
-    open saves the count and the last to close restores it."""
-    get, put = _blas_threads()
-    with _lock:
-        if not _region["open"]:
-            _region["saved"] = get()
-            put(1)
-        _region["open"] += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _region["open"] -= 1
-            if not _region["open"]:
-                put(_region["saved"])
 
 
 def _map_rows(fn, rows) -> list:
@@ -475,42 +444,62 @@ def _map_rows(fn, rows) -> list:
     Slices have ceil(len(rows) / CPUs) rows, at most SLICE_ROWS; no rows
     make one empty slice. With more than one row, more than one usable CPU
     and numpy's OpenBLAS thread setter, the calling thread and the pool's
-    threads, one per CPU in all, take them in turn inside a
-    _parallel_region (OpenBLAS at 1 thread: BLAS threads on top of them
-    only oversubscribe the CPUs); otherwise they run inline. Once fn
-    raises on the calling thread, no further slice is started. fn must
-    compute every output row from its own input row alone: then no split
-    changes a bit."""
+    threads, one per CPU in all, take them in turn, with OpenBLAS at 1
+    thread (BLAS threads on top of them only oversubscribe the CPUs);
+    otherwise they run inline. One call at a time runs on the pool: a call
+    from another thread waits for it, and a call made inside fn runs
+    inline on the thread that made it. Once fn raises on the calling
+    thread, no further slice is started. fn must compute every output row
+    from its own input row alone: then no split changes a bit."""
+    global _pool
     workers = _cpus()
     step = min(-(-len(rows) // workers), SLICE_ROWS) or 1
     starts = range(0, len(rows) or 1, step)
-    if len(rows) < 2 or workers < 2 or _blas_threads() is None:
+    if (len(rows) < 2 or workers < 2 or _blas_threads() is None
+            or getattr(_inside, "pooled", False)):
         return [fn(rows[s:s + step]) for s in starts]
     jobs = iter(starts)
     take = threading.Lock()
     out = {}
 
     def drain():
-        while True:
-            with take:
-                s = next(jobs, None)
-            if s is None:
-                return
-            out[s] = fn(rows[s:s + step])
-
-    with _parallel_region():
-        helpers = [_executor().submit(drain) for _ in range(workers - 1)]
+        _inside.pooled = True
         try:
-            drain()
+            while True:
+                with take:
+                    s = next(jobs, None)
+                if s is None:
+                    return
+                out[s] = fn(rows[s:s + step])
         finally:
-            with take:   # the caller is done, or fn raised: hand out no more
-                jobs = iter(())
-            # a helper that has not started would find no job left: it need
-            # not run, so a caller that is itself a pool thread never waits
-            # on a pool whose threads all wait
-            for helper in helpers:
-                if not helper.cancel():
+            _inside.pooled = False
+
+    get, put = _blas_threads()
+    with _busy:
+        if _pool is None:
+            # imported on first use: it adds ~6 ms to every import of oodnet
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(workers - 1)
+        saved = get()
+        put(1)
+        try:
+            helpers = [_pool.submit(drain) for _ in range(workers - 1)]
+            try:
+                drain()
+            finally:
+                with take:   # the caller is done, or fn raised: hand out no more
+                    jobs = iter(())
+                # a helper that has not started would find no job left: it
+                # need not run, so a caller that is itself a pool thread
+                # never waits on a pool whose threads all wait. Every helper
+                # that has started ends before any error of theirs is raised.
+                started = [h for h in helpers if not h.cancel()]
+                for helper in started:
+                    helper.exception()
+                for helper in started:
                     helper.result()
+        finally:
+            put(saved)
     return [out[s] for s in starts]
 
 
@@ -601,6 +590,8 @@ def train_epoch(model: Backbone, centers, ds: LabeledDataset,
     """
     if ds.role != ROLE_MAIN_TRAIN:
         raise ValueError(f"training requires a main-train dataset, got {ds.role}")
+    if not len(ds):
+        raise EmptyDataset("no samples to train on")
     if optimizer is None:
         optimizer = SGD(model.parameters(), cfg.learning_rate, cfg.momentum)
     seed = cfg.seed if epoch_seed is None else epoch_seed

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodnet import Centers, center_loss, center_loss_grads, combine
-from oodnet.errors import DimMismatch
+from oodnet.errors import DimMismatch, LabelOutOfRange
 
 
 def make_centers(values, rate=0.5):
@@ -36,6 +36,13 @@ class TestCenterLoss:
         centers = make_centers([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DimMismatch):
             center_loss(np.zeros((1, 3)), np.array([0]), centers)
+
+    @pytest.mark.parametrize("fn", [center_loss, center_loss_grads])
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_outside_the_table_raises(self, fn, label):
+        centers = make_centers([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(LabelOutOfRange):
+            fn(np.zeros((2, 2)), np.array([0, label]), centers)
 
     def test_nonnegative_and_zero_iff_at_centers(self):
         rng = np.random.default_rng(0)

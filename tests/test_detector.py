@@ -65,6 +65,10 @@ class TestFitStats:
         np.testing.assert_allclose(stats[1].mean,
                                    feats[3:].mean(axis=0), atol=1e-6)
 
+    def test_fit_stats_on_no_rows_raises(self):
+        with pytest.raises(DegenerateClass):
+            fit_stats(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
 
 class TestMahalanobis:
     def test_identity_covariance(self):

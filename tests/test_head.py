@@ -156,6 +156,15 @@ class TestTrainHead:
         with pytest.raises(EmptyDataset):
             train_head(model, head, main, empty, HeadTrainConfig())
 
+    @pytest.mark.parametrize("empty_source", ["main", "anomaly"])
+    def test_empty_features_raise(self, empty_source):
+        feats = np.random.default_rng(4).normal(size=(10, 5))
+        empty = feats[:0]
+        main, anom = (empty, feats) if empty_source == "main" else (feats, empty)
+        with pytest.raises(EmptyDataset):
+            train_head_on_features(OodHead(5, seed=0), main, anom,
+                                   HeadTrainConfig(epochs=1))
+
     def test_gradient_check(self):
         # central differences on a sampled parameter subset, float64
         rng = np.random.default_rng(3)

@@ -12,7 +12,7 @@ from test_detector import fresh_python
 from oodnet import (Backbone, Centers, TrainConfig, embed, extract_features,
                     grad_check, softmax_xent, synth_blobs, train, train_epoch)
 from oodnet.data import MiniBatch
-from oodnet.errors import LabelOutOfRange, ShapeMismatch
+from oodnet.errors import EmptyDataset, LabelOutOfRange, ShapeMismatch
 from oodnet import nn
 from oodnet.head import OodHead
 from oodnet.nn import (BLOCK, SGD, Conv2D, Dense, MaxPool2x2, ReLU,
@@ -198,6 +198,12 @@ class TestTraining:
                     TrainConfig(learning_rate=0.0, epochs=1, seed=0))
         for p, q in zip(small_model.parameters(), before):
             np.testing.assert_array_equal(p, q)
+
+    def test_an_empty_dataset_raises(self, blob_ds, small_model):
+        empty = type(blob_ds)(blob_ds.images[:0], blob_ds.labels[:0])
+        with pytest.raises(EmptyDataset):
+            train_epoch(small_model, Centers(3, small_model.feature_dim),
+                        empty, TrainConfig(epochs=1, seed=0))
 
     def test_same_seed_identical_trace(self, blob_ds):
         traces = []
@@ -469,24 +475,69 @@ class TestMapRows:
         finally:
             put(before)
 
-    def test_the_open_region_count_changes_only_under_the_lock(
+    def test_the_blas_thread_count_changes_only_under_the_pool_lock(
             self, model28, monkeypatch):
-        """Every write to the open-region record holds nn._lock: a write
-        without it could lose a concurrent region's update."""
-        blas_threads()
-        if nn._cpus() < 2:   # open a region on one CPU too
+        """Every write to OpenBLAS's thread count holds nn._busy: a write
+        without it could restore the count while another call runs on the
+        pool, or leave it at 1 thread after the last."""
+        get, put = blas_threads()
+        if nn._cpus() < 2:   # take the pooled path on one CPU too
             monkeypatch.setattr(nn, "_cpus", lambda: 2)
+        writes = []
 
-        class Guarded(dict):
-            def __setitem__(self, key, value):
-                assert nn._lock.locked(), f"_region[{key!r}] set unlocked"
-                super().__setitem__(key, value)
+        def guarded(n):
+            assert nn._busy.locked(), f"BLAS thread count set to {n} unlocked"
+            writes.append(n)
+            put(n)
 
-        region = Guarded(nn._region)
-        monkeypatch.setattr(nn, "_region", region)
+        monkeypatch.setattr(nn, "_blas_threads", lambda: (get, guarded))
         _map_rows(lambda rows: rows, np.arange(8))
         embed(model28, images28(40))
-        assert region["open"] == 0
+        assert len(writes) == 4 and not nn._busy.locked()
+
+    def test_a_call_inside_fn_runs_inline_on_its_thread(self, model28,
+                                                       monkeypatch):
+        """A _map_rows call made inside a pooled call's fn, on the caller
+        and on a helper, runs every slice on the thread that made it, with
+        the same bits, and never waits on the pool."""
+        blas_threads()
+        if nn._cpus() < 2:   # take the pooled path on one CPU too
+            monkeypatch.setattr(nn, "_cpus", lambda: 2)
+        images = images28(64, seed=4)
+        want = model28.forward(images)
+        caller, helped = [], threading.Event()
+        nested = []   # (thread of an outer slice, threads of its inner ones)
+
+        def forward(part):
+            time.sleep(0.02)   # long enough that an idle pool thread joins in
+            return threading.get_ident(), model28.forward(part)
+
+        def outer(part):
+            me = threading.get_ident()
+            if me == caller[0]:   # nest once a helper is done nesting
+                helped.wait(timeout=30)
+            inner = _map_rows(forward, part)
+            nested.append((me, {t for t, _ in inner}))
+            helped.set()
+            return [out for _, out in inner]
+
+        got = []
+
+        def call():
+            caller.append(threading.get_ident())
+            got.append(_map_rows(outer, images))
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive(), "a call inside fn waited on the pool"
+        outer_threads = {me for me, _ in nested}
+        assert caller[0] in outer_threads and len(outer_threads) > 1
+        for me, inner in nested:
+            assert inner == {me}
+        feats, logits = zip(*(out for part in got[0] for out in part))
+        np.testing.assert_array_equal(np.concatenate(feats), want[0])
+        np.testing.assert_array_equal(np.concatenate(logits), want[1])
 
     def test_no_slice_starts_once_the_caller_raises(self, monkeypatch):
         """An exception from fn on the calling thread, KeyboardInterrupt
@@ -507,6 +558,42 @@ class TestMapRows:
         with pytest.raises(KeyboardInterrupt):
             _map_rows(fn, np.arange(200))
         assert len(started) < 20
+
+    def test_an_error_on_a_helper_is_raised_once_every_helper_is_done(
+            self, monkeypatch):
+        """The call that runs on the pool ends, and lets the next one in,
+        only when no slice of it still runs."""
+        blas_threads()
+        monkeypatch.setattr(nn, "_cpus", lambda: 3)   # two helper threads,
+        monkeypatch.setattr(nn, "_pool", None)        # on a pool of their own
+        caller = threading.get_ident()
+        taken, running = [], []
+        both = threading.Event()
+        lock = threading.Lock()
+
+        def fn(rows):
+            if threading.get_ident() == caller:   # until both helpers begin
+                both.wait(timeout=30)
+                return rows
+            with lock:
+                taken.append(rows[0])
+                first = len(taken) == 1
+                if not first:
+                    both.set()
+            if first:
+                raise ValueError("a helper's slice failed")
+            running.append(rows[0])
+            time.sleep(0.2)
+            running.remove(rows[0])
+            return rows
+
+        try:
+            with pytest.raises(ValueError):
+                _map_rows(fn, np.arange(3))
+            assert len(taken) == 2 and not running
+            assert not nn._busy.locked()
+        finally:
+            nn._pool.shutdown()
 
     def test_overlapping_regions_keep_one_blas_thread_and_restore_it(
             self, model28):
@@ -570,7 +657,9 @@ class TestMapRows:
         all its slices itself: none waits for a helper that never starts."""
         if nn._cpus() < 2:
             pytest.skip("one usable CPU: there is no pool")
-        pool = nn._executor()
+        blas_threads()
+        _map_rows(lambda part: part, np.arange(8))   # the pool starts
+        pool = nn._pool
         rows = np.arange(100)
         calls = [pool.submit(_map_rows, lambda part: part * 2, rows)
                  for _ in range(pool._max_workers)]
