@@ -139,7 +139,7 @@ def split_classes(ds: LabeledDataset, keep, relabel: bool = False) -> LabeledDat
     labels = ds.labels[mask]
     if relabel:
         mapping = {orig: dense for dense, orig in enumerate(keep)}
-        labels = np.array([mapping[int(v)] for v in labels], dtype=np.int64)
+        labels = np.searchsorted(keep, labels).astype(np.int64)
     else:
         mapping = {orig: orig for orig in keep}
     return LabeledDataset(ds.images[mask].copy(), labels, mapping, ds.role)

@@ -48,8 +48,9 @@ class OodHead(LayerStack):
         return p >= self.tau
 
     def backward(self, dlogit: np.ndarray, tape: list):
-        """Backprop from the pre-sigmoid logit gradient (m,) and its forward's tape."""
-        return self.run_back(dlogit[:, None].astype(self.dtype), tape)
+        """Backprop from the pre-sigmoid logit gradient (m,) and its forward's
+        tape -> the parameter gradients, in parameters() order."""
+        return self.run_back(dlogit[:, None].astype(self.dtype), tape)[1]
 
 
 def _sigmoid(z):
@@ -127,7 +128,6 @@ def train_head_on_features(head: OodHead, feats_main, feats_anom,
                                     f"{i // cfg.batch_size} of epoch {epoch}")
             total += loss
             # d(bce)/d(logit) = p - y, averaged over the batch
-            head.backward((p - yb) / len(xb), tape)
-            optimizer.step(head.gradients())
+            optimizer.step(head.backward((p - yb) / len(xb), tape))
         trace.append(total / len(X))
     return trace

@@ -17,8 +17,9 @@ output from its own input vector, whatever the block or batch size
 around it. For the same reason batched inference (``embed``, the head's
 ``forward_many`` and the detector's ``distances_many``) runs its row
 slices on every usable CPU (``_map_rows``) and still gives the same bits.
-No layer keeps state: ``forward(x)`` returns ``(out, saved)``, and
-``backward(grad, saved)`` reads only its arguments (``LayerStack.run``).
+No layer keeps state, gradients included: ``forward(x)`` returns
+``(out, saved)``, and ``backward(grad, saved)`` reads only its arguments
+and returns ``(input gradient, parameter gradients)``.
 """
 from __future__ import annotations
 
@@ -70,27 +71,21 @@ BLOCK = 16
 
 
 class Layer:
-    """A layer without parameters. ``forward(x)`` returns ``(out, saved)``
-    and ``backward(grad, saved)`` the input gradient. Each layer class
+    """A layer without parameters. ``forward(x)`` returns ``(out, saved)``,
+    ``backward(grad, saved)`` the input gradient and ``()``. Each layer class
     defines its own pair: the benchmark's tracer wraps them per class."""
     params = ()
-    grads = ()
 
 
 class ParamLayer(Layer):
     """A layer with a weight W of ``shape`` (He initialisation for
-    ``fan_in`` inputs, drawn from rng), a zero bias of ``n_out`` values,
-    and their gradients dW and db once backward has run."""
+    ``fan_in`` inputs, drawn from rng) and a zero bias of ``n_out`` values,
+    whose gradients backward returns as ``[dW, db]``."""
 
     def __init__(self, shape, fan_in, n_out, rng, dtype):
         self.W = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
         self.b = np.zeros(n_out, dtype=dtype)
         self.params = [self.W, self.b]
-        self.dW = self.db = None
-
-    @property
-    def grads(self):
-        return [self.dW, self.db]
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,7 +126,7 @@ class Conv2D(ParamLayer):
     followed by one strided add per kernel offset (col2im).
 
     With ``input_grad=False`` (a layer whose input is data) backward
-    computes only dW and db and returns None.
+    computes only dW and db, and returns None as the input gradient.
     """
 
     def __init__(self, in_ch, out_ch, kernel, pad, rng, dtype, input_grad=True):
@@ -163,14 +158,14 @@ class Conv2D(ParamLayer):
         k, p = self.kernel, self.pad
         m, O, Ho, Wo = grad.shape
         w = self.W.reshape(O, -1)
-        self.db = grad.sum(axis=(0, 2, 3))
+        db = grad.sum(axis=(0, 2, 3))
         dW = np.zeros_like(w)
         for s in range(0, m, BLOCK):
             g = grad[s:s + BLOCK].transpose(0, 2, 3, 1).reshape(-1, O)
             dW += g.T @ _im2col(x[s:s + BLOCK], k)
-        self.dW = dW.reshape(self.W.shape)
+        grads = [dW.reshape(self.W.shape), db]
         if not self.input_grad:
-            return None
+            return None, grads
         # col2im in (C, H, W, m) layout, so that each of the k*k strided
         # adds runs over contiguous rows of Wo*m values
         _, C, H, W = x.shape
@@ -180,7 +175,7 @@ class Conv2D(ParamLayer):
         for u in range(k):
             for v in range(k):
                 dx[:, u:u + Ho, v:v + Wo] += dcols[:, u, v]
-        return np.ascontiguousarray(dx[:, p:H - p, p:W - p].transpose(3, 0, 1, 2))
+        return np.ascontiguousarray(dx[:, p:H - p, p:W - p].transpose(3, 0, 1, 2)), grads
 
 
 class ReLU(Layer):
@@ -189,7 +184,7 @@ class ReLU(Layer):
         return x * mask, mask
 
     def backward(self, grad, mask):
-        return grad * mask
+        return grad * mask, ()
 
 
 class MaxPool2x2(Layer):
@@ -214,7 +209,7 @@ class MaxPool2x2(Layer):
             hit = free & (x[..., i::2, j::2] == out)
             np.multiply(grad, hit, out=dx[..., i::2, j::2])
             free &= ~hit
-        return dx
+        return dx, ()
 
 
 class Flatten(Layer):
@@ -222,7 +217,7 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, grad, shape):
-        return grad.reshape(shape)
+        return grad.reshape(shape), ()
 
 
 class Dense(ParamLayer):
@@ -234,9 +229,7 @@ class Dense(ParamLayer):
         return np.einsum("mi,io->mo", x, self.W, optimize=False) + self.b, x
 
     def backward(self, grad, x):
-        self.dW = np.ascontiguousarray(x).T @ grad
-        self.db = grad.sum(axis=0)
-        return grad @ self.W.T
+        return grad @ self.W.T, [np.ascontiguousarray(x).T @ grad, grad.sum(axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +259,8 @@ def checked_blob(arrays: dict, name: str, shape: tuple) -> np.ndarray:
 class LayerStack:
     """A model that is a list of layers; the base of Backbone and OodHead.
 
-    It owns the parameter and gradient lists, dtype casts, the named
-    parameter state and the one training tape (``run``, ``run_back``). A
+    It owns the parameter list, dtype casts, the named parameter state
+    and the one training tape (``run``, ``run_back``). A
     subclass sets ``layers`` and ``dtype``, names in ``blob_names`` each
     layer that has parameters (in layer order), and returns from
     ``spec()`` the constructor arguments of its shape.
@@ -285,16 +278,16 @@ class LayerStack:
         return h
 
     def run_back(self, grad, tape, layers=None):
-        """grad back through layers (default: all), popping each saved off tape."""
+        """grad back through layers (default: all), popping each saved off tape
+        -> (input gradient, parameter gradients in parameters() order)."""
+        grads = []
         for layer in reversed(self.layers if layers is None else layers):
-            grad = layer.backward(grad, tape.pop())
-        return grad
+            grad, own = layer.backward(grad, tape.pop())
+            grads[:0] = own
+        return grad, grads
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.params]
-
-    def gradients(self):
-        return [g for layer in self.layers for g in layer.grads]
 
     def astype(self, dtype):
         """Copy of the model with all parameters cast to dtype."""
@@ -368,23 +361,28 @@ class Backbone(LayerStack):
         return {"n_classes": n, "input_side": 4 * (math.isqrt(flat // 16) + 2),
                 "feature_dim": d}
 
-    def forward(self, images: np.ndarray, tape=None):
-        """images (m, H, W) -> (features (m, d), logits (m, n)); tape: see run."""
+    def checked(self, images: np.ndarray) -> np.ndarray:
+        """images, which must be (m, side, side) (ShapeMismatch)."""
         if images.ndim != 3 or images.shape[1:] != (self.input_side,) * 2:
             raise ShapeMismatch(
                 f"expected (m, {self.input_side}, {self.input_side}), "
                 f"got {images.shape}")
-        h = self.run(np.asarray(images, dtype=self.dtype)[:, None], tape, self.trunk)
+        return images
+
+    def forward(self, images: np.ndarray, tape=None):
+        """images (m, H, W) -> (features (m, d), logits (m, n)); tape: see run."""
+        images = np.asarray(self.checked(images), dtype=self.dtype)
+        h = self.run(images[:, None], tape, self.trunk)
         return h, self.run(h, tape, [self.classifier])
 
     def backward(self, dlogits: np.ndarray, dfeatures, tape: list):
-        """Backpropagate gradients w.r.t. logits and (unless None) features
-        into every layer's parameter gradients, popping the forward's tape.
-        The images get none: the first convolution stops at its dW and db."""
-        g = self.run_back(dlogits, tape, [self.classifier])
+        """Backpropagate gradients w.r.t. logits and (unless None) features,
+        popping the forward's tape -> parameter gradients in parameters()
+        order. The images get none: the first convolution stops at dW, db."""
+        g, grads = self.run_back(dlogits, tape, [self.classifier])
         if dfeatures is not None:
             g = g + dfeatures
-        self.run_back(g, tape, self.trunk)
+        return self.run_back(g, tape, self.trunk)[1] + grads
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +508,7 @@ def embed(model: Backbone, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         images = images[None]
     if not len(images):
         raise EmptyDataset("no images to embed")
-    feats, logits = zip(*_map_rows(model.forward, images))
+    feats, logits = zip(*_map_rows(model.forward, model.checked(images)))
     return np.concatenate(feats), np.concatenate(logits)
 
 
@@ -550,7 +548,7 @@ class SGD:
         self.velocity = [np.zeros_like(p) for p in params]
 
     def step(self, grads):
-        for p, g, v in zip(self.params, grads, self.velocity):
+        for p, g, v in zip(self.params, grads, self.velocity, strict=True):
             v *= self.momentum
             v -= self.learning_rate * g
             p += v
@@ -605,9 +603,8 @@ def train_epoch(model: Backbone, centers, ds: LabeledDataset,
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss={loss} on batch {i} ({m} samples) of "
                                 f"the epoch with seed {seed}")
-        model.backward(dlogits / m,
-                       None if dfeat is None else (cfg.lam / m) * dfeat, tape)
-        optimizer.step(model.gradients())
+        optimizer.step(model.backward(
+            dlogits / m, None if dfeat is None else (cfg.lam / m) * dfeat, tape))
         if deltas is not None:
             centers.apply_deltas(deltas)
         total_loss += loss
@@ -641,9 +638,8 @@ def grad_check(model: Backbone, batch: MiniBatch, eps: float = 1e-5,
         raise ValueError("gradient checking requires a float64 model")
     tape = []
     _, _, dlogits, dfeat, _ = loss_and_grads(model, centers, batch, lam, tape)
-    model.backward(dlogits, None if dfeat is None else lam * dfeat, tape)
+    grads = model.backward(dlogits, None if dfeat is None else lam * dfeat, tape)
     params = model.parameters()
-    grads = model.gradients()
 
     rng = np.random.default_rng(seed)
     sizes = np.array([p.size for p in params])

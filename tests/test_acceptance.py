@@ -169,8 +169,8 @@ def test_criterion_1_gradient_correctness():
         return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).sum())
 
     tape = []
-    head.backward(head.forward_many(X, tape) - y, tape)
-    params, grads = head.parameters(), head.gradients()
+    grads = head.backward(head.forward_many(X, tape) - y, tape)
+    params = head.parameters()
     eps = 1e-6
     for k, p in enumerate(params):
         flat = p.reshape(-1)

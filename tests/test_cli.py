@@ -192,6 +192,19 @@ class TestNonFiniteFeature:
         assert "error [score]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [(40, 16, 16), (40,)])
+def test_score_names_the_whole_file_in_a_shape_error(tmp_path, capsys, shape):
+    """40 images of the wrong side, or a 40-entry labels file: more rows
+    than one slice of embed's, and the error gives the file's shape."""
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    img_path = tmp_path / "probe.idx"
+    img_path.write_bytes(serialize_idx(np.zeros(shape, dtype=np.uint8)))
+    assert main(["score", "--config", write_config(tmp_path, synth_config(tmp_path)),
+                 "--model", str(path), str(img_path)]) == 1
+    assert f"got {shape}" in capsys.readouterr().err
+
+
 def poison_blob(path, name, value):
     """Overwrite the first value of blob ``name`` of an archive in place."""
     data = bytearray(path.read_bytes())

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import time
@@ -225,9 +226,14 @@ class TestTraining:
             _, logits = model.forward(ds.images.astype(np.float64), tape)
             loss, dlogits = softmax_xent(logits, ds.labels)
             losses.append(loss)
-            model.backward(dlogits / len(ds), None, tape)
-            opt.step(model.gradients())
+            opt.step(model.backward(dlogits / len(ds), None, tape))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def test_an_sgd_step_with_a_gradient_missing_raises():
+    params = [np.zeros(3), np.zeros(2)]
+    with pytest.raises(ValueError):
+        SGD(params, learning_rate=0.1).step([np.ones(3)])
 
 
 class TestGradCheck:
@@ -242,11 +248,10 @@ class TestGradCheck:
         original = model.backward
 
         def tainted(dlogits, dfeatures, tape):
-            out = original(dlogits, dfeatures, tape)
-            for layer in model.layers:
-                for g in layer.grads:
-                    g *= 1.1
-            return out
+            grads = original(dlogits, dfeatures, tape)
+            for g in grads:
+                g *= 1.1
+            return grads
 
         model.backward = tainted
         err = grad_check(model, batch, eps=1e-5, n_samples=100)
@@ -271,18 +276,19 @@ class TestConv2D:
         np.testing.assert_allclose(out, ref_conv(x, layer.W, layer.b, pad),
                                    rtol=1e-10, atol=1e-12)
         grad = rng.normal(size=out.shape)
-        dx = layer.backward(grad, saved)
+        dx, (dW, db) = layer.backward(grad, saved)
         ref_dW, ref_db, ref_dx = ref_conv_backward(x, layer.W, grad, pad)
-        for got, want in ((layer.dW, ref_dW), (layer.db, ref_db), (dx, ref_dx)):
+        for got, want in ((dW, ref_dW), (db, ref_db), (dx, ref_dx)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
         first = Conv2D(2, 3, 5, pad, np.random.default_rng(7), np.float64,
                        input_grad=False)
         first.W[...], first.b[...] = layer.W, layer.b
         _, saved = first.forward(x)
-        assert first.backward(grad, saved) is None
-        np.testing.assert_array_equal(first.dW, layer.dW)
-        np.testing.assert_array_equal(first.db, layer.db)
+        first_dx, (first_dW, first_db) = first.backward(grad, saved)
+        assert first_dx is None
+        np.testing.assert_array_equal(first_dW, dW)
+        np.testing.assert_array_equal(first_db, db)
 
     @pytest.mark.parametrize("b", [1, BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("C,H", [(1, 32), (6, 14), (2, 8), (6, 6)])
@@ -312,7 +318,7 @@ class TestMaxPool:
         grad = rng.normal(size=(3, 2, 4, 4)).astype(np.float32)
         pool = MaxPool2x2()
         out, saved = pool.forward(x)
-        dx = pool.backward(grad, saved)
+        dx, _ = pool.backward(grad, saved)
         ref_dx = np.zeros_like(x)
         for s, c, i, j in np.ndindex(grad.shape):
             window = x[s, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
@@ -327,7 +333,7 @@ class TestMaxPool:
         x = rng.normal(size=(2, 3, 6, 6))
         _, saved = pool.forward(x)
         g = rng.normal(size=(2, 3, 3, 3))
-        dx = pool.backward(g, saved)
+        dx, _ = pool.backward(g, saved)
         assert dx.sum() == pytest.approx(g.sum(), rel=1e-12)
         # each 2x2 window receives gradient in exactly one slot
         win = dx.reshape(2, 3, 3, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5)
@@ -359,6 +365,34 @@ def test_inference_forwards_read_no_layer_state():
     np.testing.assert_array_equal(p1, p[:1])
 
 
+def test_a_training_step_keeps_no_layer_state():
+    """A training forward with a tape and its backward leave every layer's
+    vars() with the same keys bound to the same objects, for the backbone
+    and for the head. The backward returns one gradient per parameter, in
+    parameters() order, of its shape and dtype."""
+    model = Backbone(3, input_side=12, seed=0)
+    head = OodHead(model.feature_dim, seed=0)
+    ds = synth_blobs(3, 6, side=12, seed=2)
+    layers = model.layers + head.layers
+    before = [dict(vars(layer)) for layer in layers]
+    tape = []
+    feats, logits = model.forward(ds.images, tape)
+    _, dlogits = softmax_xent(logits, ds.labels)
+    grads = model.backward(dlogits, feats, tape)
+    head_tape = []
+    p = head.forward_many(feats, head_tape)
+    head_grads = head.backward(p - (ds.labels > 0), head_tape)
+    for layer, kept in zip(layers, before):
+        now = vars(layer)
+        assert now.keys() == kept.keys(), type(layer).__name__
+        assert all(now[k] is v for k, v in kept.items()), type(layer).__name__
+    for params, got in ((model.parameters(), grads),
+                        (head.parameters(), head_grads)):
+        assert len(got) == len(params)
+        for param, g in zip(params, got):
+            assert (g.shape, g.dtype) == (param.shape, param.dtype)
+
+
 def test_an_inference_forward_inside_a_training_step_moves_no_gradient():
     """Inference between a training forward and its backward, as another
     thread could run it, leaves every backbone and head gradient the
@@ -375,22 +409,28 @@ def test_an_inference_forward_inside_a_training_step_moves_no_gradient():
         if interleave:
             other_feats = embed(model, other)[0]
             model.forward(other[:1])
-        model.backward(dlogits, feats, tape)
+        grads = model.backward(dlogits, feats, tape)
         assert tape == []
         head_tape = []
         p = head.forward_many(feats, head_tape)
         if interleave:
             head.forward_many(other_feats)
             head.forward_many(other_feats[:1])
-        head.backward(p - (ds.labels > 0), head_tape)
+        head_grads = head.backward(p - (ds.labels > 0), head_tape)
         assert head_tape == []
-        return [g.copy() for g in model.gradients() + head.gradients()]
+        return [g.copy() for g in grads + head_grads]
 
     for want, got in zip(gradients(False), gradients(True), strict=True):
         np.testing.assert_array_equal(got, want)
 
 
 class TestExtractFeatures:
+    @pytest.mark.parametrize("shape", [(40, 16, 16), (40,)])
+    def test_a_shape_error_names_the_whole_input(self, small_model, shape):
+        # 40 rows: more than one slice of _map_rows on any CPU count
+        with pytest.raises(ShapeMismatch, match=re.escape(f"got {shape}")):
+            embed(small_model, np.zeros(shape, dtype=np.float32))
+
     def test_single_matches_batch_row(self, small_model):
         images = np.random.default_rng(5).random((6, 12, 12)).astype(np.float32)
         batch_feats = extract_features(small_model, images)
@@ -597,10 +637,9 @@ class TestMapRows:
 
     def test_overlapping_regions_keep_one_blas_thread_and_restore_it(
             self, model28):
-        """More callers than CPUs open and close regions at once, with a
-        short switch interval: a lost update of the open-region count
-        would restore OpenBLAS's count while a region is still open, or
-        leave it at 1 thread after the last."""
+        """More callers than CPUs, with a short switch interval, serialise
+        on nn._busy: every slice of every call sees OpenBLAS at 1 thread,
+        and the count set before the calls is restored after the last."""
         get, put = blas_threads()
         before = get()
         images = images28(600, seed=1)
