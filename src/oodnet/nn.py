@@ -139,7 +139,10 @@ class Conv2D(ParamLayer):
     def forward(self, x):
         k, p = self.kernel, self.pad
         if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+            m, C, H, W = x.shape
+            padded = np.zeros((m, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
+            padded[:, :, p:-p, p:-p] = x
+            x = padded
         m, _, H, W = x.shape
         O = self.W.shape[0]
         Ho, Wo = H - k + 1, W - k + 1
@@ -548,7 +551,9 @@ class SGD:
         self.velocity = [np.zeros_like(p) for p in params]
 
     def step(self, grads):
-        for p, g, v in zip(self.params, grads, self.velocity, strict=True):
+        if len(grads) != len(self.params):   # before any parameter moves
+            raise ValueError(f"{len(grads)} gradients for {len(self.params)} parameters")
+        for p, g, v in zip(self.params, grads, self.velocity):
             v *= self.momentum
             v -= self.learning_rate * g
             p += v

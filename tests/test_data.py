@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import nearest_mean_accuracy
 from oodnet import (LabeledDataset, make_batches, normalize, parse_idx,
                     serialize_idx, split_classes, synth_blobs)
-from oodnet.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from oodnet.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, _class_layout
 from oodnet.errors import (DimMismatch, EmptySplit, OodnetError,
                            ShapeMismatch, TruncatedPayload, UnsupportedMagic)
 
@@ -149,7 +149,45 @@ class TestMakeBatches:
             sorted(map(tuple, ds.images.reshape(len(ds), -1)))
 
 
+def synth_blobs_per_image(n_classes, per_class, side=12, separation=3.0,
+                          seed=0, role="main-train", layout_seed=0):
+    """The generator as one image at a time: the reference for its bits."""
+    images = np.empty((n_classes * per_class, side, side), dtype=np.float32)
+    labels = np.empty(n_classes * per_class, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    centers = _class_layout(n_classes, side, separation, layout_seed)
+    yy, xx = np.mgrid[0:side, 0:side].astype(np.float32)
+    sigma, noise = 1.2, 0.05
+    k = 0
+    for cls in range(n_classes):
+        for _ in range(per_class):
+            jy, jx = centers[cls] + rng.normal(0, 0.5, size=2)
+            img = np.exp(-((yy - jy) ** 2 + (xx - jx) ** 2) / (2 * sigma ** 2))
+            img += rng.normal(0, noise, size=img.shape).astype(np.float32)
+            images[k] = np.clip(img, 0.0, 1.0)
+            labels[k] = cls
+            k += 1
+    class_map = {c: c for c in range(n_classes)}
+    return LabeledDataset(images, labels, class_map, role)
+
+
 class TestSynthBlobs:
+    @pytest.mark.parametrize("side", [12, 16, 28, 32])
+    @pytest.mark.parametrize("per_class", [1, 63, 64, 65, 129])
+    def test_same_bits_as_one_image_at_a_time(self, per_class, side):
+        for n_classes, seed, layout_seed, separation, role in [
+                (2, 0, 0, 3.0, "main-train"), (3, 11, 5, 5.0, "anomaly"),
+                (10, 2024, 1, 0.5, "main-test")]:
+            args = (n_classes, per_class, side, separation, seed, role,
+                    layout_seed)
+            got, want = synth_blobs(*args), synth_blobs_per_image(*args)
+            assert got.images.dtype == want.images.dtype
+            assert got.images.tobytes() == want.images.tobytes()
+            assert got.labels.dtype == np.int64
+            np.testing.assert_array_equal(got.labels, want.labels)
+            assert got.class_map == want.class_map
+            assert got.role == want.role
+
     def test_balanced_labels(self):
         ds = synth_blobs(2, 5, side=10, seed=0)
         assert len(ds) == 10

@@ -236,6 +236,18 @@ def test_an_sgd_step_with_a_gradient_missing_raises():
         SGD(params, learning_rate=0.1).step([np.ones(3)])
 
 
+@pytest.mark.parametrize("n_grads", [1, 3])
+def test_an_sgd_step_with_the_wrong_gradient_count_moves_nothing(n_grads):
+    params = [np.full(3, 0.5), np.full(2, -0.25)]
+    opt = SGD(params, learning_rate=0.1)
+    opt.step([np.ones(3), np.ones(2)])
+    before = [a.copy() for a in params + opt.velocity]
+    with pytest.raises(ValueError):
+        opt.step([np.ones(3), np.ones(2), np.ones(2)][:n_grads])
+    for got, want in zip(params + opt.velocity, before, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 class TestGradCheck:
     def test_healthy_build(self):
         model, centers, batch = f64_setup()
@@ -302,6 +314,15 @@ class TestConv2D:
         got = _im2col(x, 5)
         np.testing.assert_array_equal(got, want)
         assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("m", [1, 17])
+    def test_saved_is_the_zero_padded_input(self, m):
+        layer = Conv2D(1, 6, 5, 2, np.random.default_rng(3), np.float32)
+        x = np.random.default_rng(m).random((m, 1, 28, 28), dtype=np.float32)
+        _, saved = layer.forward(x)
+        want = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)))
+        assert saved.dtype == want.dtype
+        np.testing.assert_array_equal(saved, want)
 
     def test_patch_index_is_read_only(self):
         index = _patch_index(6, 14, 14, 5)
