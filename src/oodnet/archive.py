@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ from .centerloss import Centers
 from .detector import DetectorModel, check_class_count
 from .errors import (BadMagic, CorruptLength, VersionMismatch, json_list,
                      json_value, parse_json)
+from .evalkit import replacing
 from .head import OodHead
 from .nn import Backbone, checked_blob
 
@@ -60,8 +60,7 @@ def save_model(path, state: ModelState):
         "blobs": [{"name": k, "shape": list(v.shape)} for k, v in blobs.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))

@@ -108,20 +108,19 @@ def cmd_eval(cfg: RunConfig, args):
 
 def cmd_score(cfg: RunConfig, args):
     state = _load_calibrated(cfg, args)
-    images = datamod.normalize(datamod.load_idx_file(args.image_file))
-    feats, logits = embed(state.backbone, images)
-    preds = logits.argmax(axis=1)
-    normal = state.detector.is_normal_many(feats)
-    scores = state.detector.anomaly_score_many(feats)
-    head_p = state.head.forward_many(feats) if state.head is not None else None
-    for i, (cls, ok, s) in enumerate(zip(preds, normal, scores)):
-        verdict = "normal" if ok else "ood"
-        line = f"{i}: class={cls} verdict={verdict} min_distance={s:.4f}"
-        if head_p is not None:
-            p = head_p[i]
-            hv = "normal" if state.head.accepts(p) else "ood"
-            line += f" head_p={p:.4f} head_verdict={hv}"
-        print(line)
+    feats, logits = embed(state.backbone, datamod.load_idx_file(args.image_file))
+    verdict = {True: "normal", False: "ood"}
+    lines = [f"{i}: class={cls} verdict={verdict[ok]} min_distance={s:.4f}"
+             for i, (cls, ok, s) in enumerate(zip(
+                 logits.argmax(axis=1).tolist(),
+                 state.detector.is_normal_many(feats).tolist(),
+                 state.detector.anomaly_score_many(feats).tolist()))]
+    if state.head is not None:
+        p = state.head.forward_many(feats)
+        lines = [f"{line} head_p={p_i:.4f} head_verdict={verdict[ok]}"
+                 for line, p_i, ok in zip(lines, p.tolist(),
+                                          state.head.accepts(p).tolist())]
+    print("\n".join(lines))
 
 
 def cmd_export_features(cfg: RunConfig, args):

@@ -25,7 +25,9 @@ _ROLES = (ROLE_MAIN_TRAIN, ROLE_MAIN_TEST, ROLE_ANOMALY)
 class LabeledDataset:
     """Immutable image dataset with dense integer labels.
 
-    images: (M, H, W) float32 in [0, 1]
+    images: (M, H, W), either IDX bytes (uint8, held at one byte per
+        pixel and scaled by ``normalize`` as they enter the network) or
+        float32 in [0, 1]
     labels: (M,) int64, values in [0, n)
     class_map: original label -> dense label
     role: split provenance, one of main-train / main-test / anomaly
@@ -110,15 +112,17 @@ def load_idx_file(path) -> np.ndarray:
 
 def normalize(raw: np.ndarray) -> np.ndarray:
     """Scale byte intensities [0, 255] to unit-interval float32: one fresh
-    copy, divided in place, so a split is held as float32 once. The input
-    is never written to."""
+    copy, divided in place. The input is never written to. The backbone's
+    forward applies it to uint8 images, so an IDX split or batch is held
+    as bytes and only the rows entering the network are scaled; every
+    value is scaled alone, so any slicing gives the same bits."""
     images = np.array(raw, dtype=np.float32)
     images /= 255.0
     return images
 
 
 def load_idx_dataset(image_path, label_path, role: str) -> LabeledDataset:
-    images = normalize(load_idx_file(image_path))
+    images = load_idx_file(image_path)   # bytes: the model scales them
     labels = load_idx_file(label_path).astype(np.int64)
     class_map = {int(c): int(c) for c in np.unique(labels)}
     return LabeledDataset(images, labels, class_map, role)

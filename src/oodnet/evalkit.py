@@ -1,9 +1,12 @@
 """Metrics: confusion counts, F1, ROC/AUC sweeps, 2-D PCA projection,
-and the one CSV writer behind every CSV the toolkit emits."""
+the one CSV writer behind every CSV the toolkit emits, and the one way
+the toolkit writes a file (``replacing``)."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
+import stat
 from statistics import median
 
 import numpy as np
@@ -125,13 +128,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str, **kwargs):
+    """A file object, opened with mode, whose file becomes path only once
+    the block has written it and it is closed: it is a new temporary file
+    in path's directory (made if missing), renamed onto path by
+    os.replace. If anything fails, the temporary file is removed and path
+    is as it was. The file gets the mode bits a plain open() would leave:
+    an existing path's, else 0o666 less the umask. There is no fsync, so
+    this guards against a failed write or process, not a power loss."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{os.path.basename(path)}."
+                                  f"{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, **kwargs) as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(path, columns, rows):
     """A header line of columns, then one line per row of cells: '' for
     None, the round-trip repr of a float, str of anything else. Pass
-    Python floats: a numpy float's repr names its type. The file's
-    directory is made if it is missing."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    Python floats: a numpy float's repr names its type. Written through
+    ``replacing``: a failed write leaves path as it was."""
+    with replacing(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows([_fmt(v) for v in row] for row in rows)

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centerloss import center_loss, center_loss_grads, combine
-from .data import ROLE_MAIN_TRAIN, LabeledDataset, MiniBatch, make_batches
+from .data import (ROLE_MAIN_TRAIN, LabeledDataset, MiniBatch, make_batches,
+                   normalize)
 from .errors import (DimMismatch, EmptyDataset, NonFiniteFeature,
                      NonFiniteLoss, ShapeMismatch, check_labels)
 
@@ -153,8 +154,8 @@ class Conv2D(ParamLayer):
         out = np.empty((m, O, Ho, Wo), dtype=x.dtype)
         for s in range(0, m, BLOCK):
             y = _im2col(x[s:s + BLOCK], k) @ w
-            y += self.b
             out[s:s + BLOCK] = y.reshape(-1, Ho, Wo, O).transpose(0, 3, 1, 2)
+        out += self.b[:, None, None]
         return out, x
 
     def backward(self, grad, x):
@@ -373,8 +374,13 @@ class Backbone(LayerStack):
         return images
 
     def forward(self, images: np.ndarray, tape=None):
-        """images (m, H, W) -> (features (m, d), logits (m, n)); tape: see run."""
-        images = np.asarray(self.checked(images), dtype=self.dtype)
+        """images (m, H, W) -> (features (m, d), logits (m, n)); tape: see run.
+        uint8 images (IDX bytes) are scaled by data.normalize here, as they
+        enter the network; any other dtype is taken as pixels in [0, 1]."""
+        images = self.checked(images)
+        if images.dtype == np.uint8:
+            images = normalize(images)
+        images = np.asarray(images, dtype=self.dtype)
         h = self.run(images[:, None], tape, self.trunk)
         return h, self.run(h, tape, [self.classifier])
 

@@ -78,7 +78,9 @@ def test_summary_reads_each_metric_in_its_own_direction(bench_pairs):
     assert (throughput["wins"], latency["wins"]) == (1, 1)
     assert throughput["parent"] == [97.5, 100.0, 102.5]
     assert throughput["ratio"] == pytest.approx(90 / 100)
-    assert throughput["beyond_iqr"] and not throughput["worse_than_bound"]
+    # 10% worse, by more than the parent's IQR of 5: not a gain
+    assert not throughput["better_beyond_iqr"] and not throughput["claim_holds"]
+    assert not throughput["worse_than_bound"]
 
 
 def test_summary_flags_a_change_worse_than_its_bound(bench_pairs):
@@ -93,3 +95,23 @@ def test_a_run_without_a_summary_stops_the_tool(bench_pairs, tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text("print('no summary')\n")
     with pytest.raises(SystemExit, match="no JSON summary"):
         bench_pairs.run_once(tmp_path, "w", 0, 1.0)
+
+
+@pytest.mark.parametrize("wins,holds", [(9, True), (8, False)])
+def test_a_claim_needs_nine_tenths_of_the_pairs_and_a_gain_beyond_the_iqr(
+        bench_pairs, wins, holds):
+    parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    change = [v + 10 if i < wins else v - 1 for i, v in enumerate(parent)]
+    throughput, latency = bench_pairs.summarize(
+        runs_of({"parent": parent, "change": change}), DECLARED)
+    assert throughput["wins"] == latency["wins"] == wins
+    assert throughput["better_beyond_iqr"] and latency["better_beyond_iqr"]
+    assert throughput["claim_holds"] == latency["claim_holds"] == holds
+
+
+def test_a_gain_within_the_parent_iqr_is_no_claim(bench_pairs):
+    throughput, _ = bench_pairs.summarize(
+        runs_of({"parent": [90, 100, 110, 120], "change": [91, 101, 111, 121]}),
+        DECLARED)
+    assert throughput["wins"] == 4
+    assert not throughput["better_beyond_iqr"] and not throughput["claim_holds"]

@@ -1,6 +1,10 @@
 import json
 import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +540,58 @@ class TestUnwritableOutput:
         self.assert_exits_1(capsys, [
             command, "--config", cfg_path, "--model", archive,
             "--out", os.path.join(self.afile(tmp_path), "sub")])
+
+
+FAILING_WRITE = """
+import resource, signal, sys
+from oodnet.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)   # a write past the limit: EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """(config path, directory) of a one-cell sweep whose output directory
+    also holds eval_metrics.csv and features.csv."""
+    tmp = tmp_path_factory.mktemp("outputs")
+    cfg_path = write_config(tmp, synth_config(tmp, epochs=1))
+    for command in ("run-experiment", "eval", "export-features"):
+        assert main([command, "--config", cfg_path]) == 0
+    return cfg_path, tmp / "out"
+
+
+def files_under(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command,limit", [
+    ("train", 64), ("calibrate", 64), ("calibrate", 4096), ("train-head", 64),
+    ("eval", 64), ("export-features", 64), ("run-experiment", 64)])
+def test_a_write_that_fails_partway_leaves_every_file_as_it_was(
+        outputs, tmp_path, command, limit):
+    """The command runs in a child whose files may not grow past limit
+    bytes (RLIMIT_FSIZE): each write it makes fails partway, the command
+    exits 1, every file it would have replaced keeps its bytes, and no
+    temporary file is left."""
+    pytest.importorskip("resource")
+    cfg_path, finished = outputs
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    before = files_under(out)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_WRITE, str(limit), command,
+         "--config", cfg_path, "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error [{command}]: ")
+    assert "File too large" in proc.stderr
+    assert files_under(out) == before
 
 
 class TestNoAnomalySource:

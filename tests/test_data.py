@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import nearest_mean_accuracy
 from oodnet import (LabeledDataset, make_batches, normalize, parse_idx,
                     serialize_idx, split_classes, synth_blobs)
-from oodnet.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, _class_layout
+from oodnet.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, ROLE_MAIN_TEST,
+                         _class_layout, load_idx_dataset)
 from oodnet.errors import (DimMismatch, EmptySplit, OodnetError,
                            ShapeMismatch, TruncatedPayload, UnsupportedMagic)
 
@@ -147,6 +148,19 @@ class TestMakeBatches:
         got = np.concatenate([b.images for b in batches])
         assert sorted(map(tuple, got.reshape(len(got), -1))) == \
             sorted(map(tuple, ds.images.reshape(len(ds), -1)))
+
+
+def test_an_idx_split_and_its_batches_stay_bytes(tmp_path):
+    raw = np.random.default_rng(0).integers(0, 256, (7, 5, 6), dtype=np.uint8)
+    labels = np.array([3, 1, 3, 0, 1, 1, 0], dtype=np.uint8)
+    (tmp_path / "images").write_bytes(serialize_idx(raw))
+    (tmp_path / "labels").write_bytes(serialize_idx(labels))
+    ds = load_idx_dataset(tmp_path / "images", tmp_path / "labels", ROLE_MAIN_TEST)
+    assert ds.images.dtype == np.uint8 and ds.images.nbytes == 7 * 5 * 6
+    np.testing.assert_array_equal(ds.images, raw)
+    np.testing.assert_array_equal(ds.labels, labels)
+    batches = list(make_batches(ds, 3, seed=0))
+    assert [b.images.dtype for b in batches] == [np.uint8] * 3
 
 
 def synth_blobs_per_image(n_classes, per_class, side=12, separation=3.0,

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from oodnet import confusion, f1, pca2, roc
 from oodnet.errors import DegenerateInput, LabelOutOfRange, SingleClass
+from oodnet.evalkit import replacing, write_csv
 
 
 def concordance_auc(scores, is_anom, higher_is_anomalous=True):
@@ -187,3 +191,35 @@ class TestPca2:
             pca2(np.ones((5, 3)))
         with pytest.raises(DegenerateInput):
             pca2(np.ones((1, 3)))
+
+
+class TestReplacing:
+    def mode(self, path) -> int:
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    def test_a_new_file_gets_the_mode_of_a_plain_open(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            write_csv(tmp_path / "new" / "a.csv", ["x"], [[1]])
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        assert self.mode(tmp_path / "new" / "a.csv") == self.mode(tmp_path / "plain") == 0o640
+        assert (tmp_path / "new" / "a.csv").read_bytes() == b"x\r\n1\r\n"
+
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("old")
+        os.chmod(path, 0o604)
+        write_csv(path, ["x"], [[2]])
+        assert self.mode(path) == 0o604 and path.read_bytes() == b"x\r\n2\r\n"
+
+    def test_an_error_in_the_block_leaves_the_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(KeyboardInterrupt):
+            with replacing(path, "wb") as fh:
+                fh.write(b"new bytes")
+                raise KeyboardInterrupt
+        assert os.listdir(tmp_path) == ["a.bin"] and path.read_bytes() == b"old"

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import sys
@@ -12,7 +13,7 @@ from conftest import f64_setup, nearest_mean_accuracy
 from test_detector import fresh_python
 from oodnet import (Backbone, Centers, TrainConfig, embed, extract_features,
                     grad_check, softmax_xent, synth_blobs, train, train_epoch)
-from oodnet.data import MiniBatch
+from oodnet.data import LabeledDataset, MiniBatch, normalize
 from oodnet.errors import EmptyDataset, LabelOutOfRange, ShapeMismatch
 from oodnet import nn
 from oodnet.head import OodHead
@@ -726,6 +727,55 @@ class TestMapRows:
         for call in calls:
             np.testing.assert_array_equal(
                 np.concatenate(call.result(timeout=60)), rows * 2)
+
+
+# --- IDX bytes: scaled by data.normalize as they enter the network ---
+
+
+def bytes_of(n, side=28, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, (n, side, side),
+                                                dtype=np.uint8)
+
+
+class TestByteImages:
+    @pytest.mark.parametrize("cpus", [1, 2])   # inline, and on the pool
+    @pytest.mark.parametrize("n", [1, 17, 64])
+    def test_bytes_give_the_bits_of_their_normalized_pixels(
+            self, model28, n, cpus, monkeypatch):
+        monkeypatch.setattr(nn, "_cpus", lambda: cpus)
+        raw = bytes_of(n, seed=n)
+        pixels = normalize(raw)
+        for call in (model28.forward, functools.partial(embed, model28)):
+            for got, want in zip(call(raw), call(pixels), strict=True):
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(extract_features(model28, raw),
+                                      extract_features(model28, pixels))
+
+    def test_a_float64_model_scales_bytes_as_float32_pixels(self):
+        """The grad_check path: bytes are scaled to float32 first, then cast."""
+        model = Backbone(3, input_side=12, seed=0).astype(np.float64)
+        raw = bytes_of(5, side=12)
+        pixels = normalize(raw)
+        for got, want in zip(model.forward(raw), model.forward(pixels), strict=True):
+            np.testing.assert_array_equal(got, want)
+        labels = np.array([0, 1, 2, 0, 1])
+        assert grad_check(model, MiniBatch(raw, labels), n_samples=20) \
+            == grad_check(model, MiniBatch(pixels, labels), n_samples=20)
+
+    def test_training_on_bytes_moves_every_parameter_as_on_their_pixels(self):
+        raw = (synth_blobs(3, 30, side=12, seed=1).images * 255).astype(np.uint8)
+        labels = np.arange(len(raw)) % 3
+        runs = []
+        for images in (raw, normalize(raw)):
+            model = Backbone(3, input_side=12, seed=2)
+            centers = Centers(3, model.feature_dim, seed=2)
+            record = train_epoch(model, centers, LabeledDataset(images, labels.copy()),
+                                 TrainConfig(lam=0.5, batch_size=16, seed=3))
+            runs.append((record, model.parameters() + [centers.values]))
+        (record, params), (want_record, want_params) = runs
+        assert record == want_record
+        for got, want in zip(params, want_params, strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 FORKED_EMBED = """

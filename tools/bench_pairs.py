@@ -13,16 +13,19 @@ benchmark's JSON summary.
 For every end-to-end metric that ``BENCHMARK.json`` of the change
 checkout declares, it prints each side's median and quartiles, the
 change/parent ratio of the medians, the pairs the change won (a tie
-counts for neither side), whether the medians differ by more than the
-parent's interquartile range, and whether the change's median is worse
-than the parent's by more than the metric's bound. Then it prints the
-`failed` total of each side and, as the last line, one JSON object with
-every run's values. Exit code 1 when a run printed no JSON summary.
+counts for neither side), whether the change's median is better than
+the parent's by more than the parent's interquartile range, whether a
+gain may be claimed (the change wins at least ceil(0.9 * pairs) pairs
+and is better by more than that range), and whether the change's
+median is worse than the parent's by more than the metric's bound.
+Then it prints the `failed` total of each side and, as the last line,
+one JSON object with every run's values. Exit code 1 when a run printed no JSON summary.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -59,12 +62,15 @@ def summarize(runs: dict, declared: list[dict]) -> list[dict]:
         q = {side: np.percentile(values[side], [25, 50, 75]) for side in SIDES}
         parent, change = q["parent"][1], q["change"][1]
         gain = sign * (values["change"] - values["parent"])
+        wins = int((gain > 0).sum())
+        better = sign * (change - parent) > q["parent"][2] - q["parent"][0]
         rows.append({
             "metric": name, "unit": metric["unit"], "better": metric["better"],
             "parent": q["parent"].tolist(), "change": q["change"].tolist(),
             "ratio": change / parent if parent else float("nan"),
-            "wins": int((gain > 0).sum()), "pairs": len(gain),
-            "beyond_iqr": abs(change - parent) > q["parent"][2] - q["parent"][0],
+            "wins": wins, "pairs": len(gain),
+            "better_beyond_iqr": better,
+            "claim_holds": better and wins >= math.ceil(0.9 * len(gain)),
             "worse_than_bound": sign * (change - parent) < -metric["bound"] * abs(parent),
         })
     return rows
@@ -75,13 +81,15 @@ def table(rows: list[dict]) -> list[str]:
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
     out = ["| metric | parent median [q1, q3] | change median [q1, q3] | "
-           "change/parent | change wins | beyond parent IQR | worse than bound |",
-           "|---|---|---|---|---|---|---|"]
+           "change/parent | change wins | better beyond parent IQR | "
+           "claim holds | worse than bound |",
+           "|---|---|---|---|---|---|---|---|"]
     for r in rows:
         out.append(f"| `{r['metric']}` ({r['unit']}, {r['better']} is better) | "
                    f"{quartiles(r['parent'])} | {quartiles(r['change'])} | "
                    f"{r['ratio']:.3f} | {r['wins']}/{r['pairs']} | "
-                   f"{'yes' if r['beyond_iqr'] else 'no'} | "
+                   f"{'yes' if r['better_beyond_iqr'] else 'no'} | "
+                   f"{'yes' if r['claim_holds'] else 'no'} | "
                    f"{'YES' if r['worse_than_bound'] else 'no'} |")
     return out
 
