@@ -98,10 +98,12 @@ def _decode(data: bytes) -> tuple[dict, dict]:
         if name in blobs:
             raise CorruptLength(f"blob {name} listed twice")
         shape = _field(entry, "shape", int, f"blob {name}", 0, json_list)
-        end = offset + 4 * math.prod(shape)
+        count = math.prod(shape)
+        end = offset + 4 * count
         if end > len(data):
             raise CorruptLength(f"blob {name} truncated")
-        blobs[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape)
+        # a view of data: the blob's bytes are not copied
+        blobs[name] = np.frombuffer(data, "<f4", count, offset).reshape(shape)
         if not np.isfinite(blobs[name]).all():
             raise CorruptLength(f"blob {name} holds NaN or inf")
         offset = end

@@ -83,11 +83,10 @@ def parse_idx(data: bytes) -> np.ndarray:
         raise TruncatedPayload("stream shorter than declared header")
     dims = struct.unpack(f">{ndim}I", data[4:header])
     expected = math.prod(dims)   # exact: an int64 product can wrap to 0
-    payload = data[header:]
-    if len(payload) != expected:
-        raise TruncatedPayload(f"expected {expected} payload bytes, got {len(payload)}")
-    try:
-        return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    if len(data) - header != expected:
+        raise TruncatedPayload(f"expected {expected} payload bytes, got {len(data) - header}")
+    try:   # a view of data past the header: the payload is not copied
+        return np.frombuffer(data, np.uint8, count=expected, offset=header).reshape(dims)
     except ValueError as exc:   # a zero size, and the others' product past 2**63
         raise TruncatedPayload(f"dims {dims}: {exc}") from exc
 

@@ -8,15 +8,18 @@ layer (84 units by default) feeding the linear classifier.
 
 Kernels: convolution is im2col plus one GEMM per block of ``BLOCK``
 samples, the block's patch matrix gathered with one ``np.take`` through a
-flat patch index that is built once per input shape; max pooling is
-``np.maximum`` over four strided views; dense layers use a fixed-order
-``einsum``. Inference gives the same bits at any batch size because every
-output row is computed from its own input row alone: a convolution output
-from its own patch row, a pooled value from its own window, a dense
-output from its own input vector, whatever the block or batch size
-around it. For the same reason batched inference (``embed``, the head's
-``forward_many`` and the detector's ``distances_many``) runs its row
-slices on every usable CPU (``_map_rows``) and still gives the same bits.
+flat patch index that is built once per input shape. Its backward
+computes the input gradient (col2im) with one GEMM and one strided add per
+kernel offset, never holding the whole patch-gradient matrix. Max pooling
+is ``np.maximum`` over four strided views, and dense layers use a
+fixed-order ``einsum``. Inference gives the same bits at any batch size
+because every output row is computed from its own input row alone: a
+convolution output from its own patch row, a pooled value from its own
+window, a dense output from its own input vector, whatever the block or
+batch size around it. For the same reason batched inference (``embed``,
+the head's ``forward_many`` and the detector's ``distances_many``) runs
+its row slices on every usable CPU (``_map_rows``) and still gives the
+same bits.
 No layer keeps state, gradients included: ``forward(x)`` returns
 ``(out, saved)``, and ``backward(grad, saved)`` reads only its arguments
 and returns ``(input gradient, parameter gradients)``.
@@ -123,8 +126,10 @@ class Conv2D(ParamLayer):
     Every output value is the dot product of its own patch row with one
     kernel, so it does not depend on the block or batch size it was
     computed in. ``saved`` is the padded input: backward rebuilds each
-    block's patches from it for dW, and computes dx as one GEMM
-    followed by one strided add per kernel offset (col2im).
+    block's patches from it for dW. It computes dx by col2im without the
+    full (C*k*k, Ho*Wo*m) patch-gradient matrix: for each kernel offset,
+    one GEMM of that offset's (C, O) kernel slice against the output
+    gradient, added into dx at that offset before the next GEMM.
 
     With ``input_grad=False`` (a layer whose input is data) backward
     computes only dW and db, and returns None as the input gradient.
@@ -171,14 +176,16 @@ class Conv2D(ParamLayer):
         if not self.input_grad:
             return None, grads
         # col2im in (C, H, W, m) layout, so that each of the k*k strided
-        # adds runs over contiguous rows of Wo*m values
+        # adds runs over contiguous rows of Wo*m values. Offset (u, v) makes
+        # its rows (c, u, v) of w.T @ g from a contiguous (C, O) kernel slice:
+        # the same products as one GEMM of the whole matrix, one at a time.
         _, C, H, W = x.shape
-        dcols = (w.T @ grad.transpose(1, 2, 3, 0).reshape(O, -1)
-                 ).reshape(C, k, k, Ho, Wo, m)
+        g = grad.transpose(1, 2, 3, 0).reshape(O, -1)
+        wt = np.ascontiguousarray(self.W.transpose(2, 3, 1, 0))
         dx = np.zeros((C, H, W, m), dtype=grad.dtype)
         for u in range(k):
             for v in range(k):
-                dx[:, u:u + Ho, v:v + Wo] += dcols[:, u, v]
+                dx[:, u:u + Ho, v:v + Wo] += (wt[u, v] @ g).reshape(C, Ho, Wo, m)
         return np.ascontiguousarray(dx[:, p:H - p, p:W - p].transpose(3, 0, 1, 2)), grads
 
 

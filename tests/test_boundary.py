@@ -6,6 +6,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodnet import synth_blobs
-from oodnet.archive import ModelState, load_model, save_model
+from oodnet.archive import ModelState, _decode, load_model, save_model
 from oodnet.data import serialize_idx
 from oodnet.detector import DetectorModel
 from oodnet.cli import main
@@ -127,6 +128,21 @@ def test_bytes_after_the_last_blob_raise_corrupt_length(tmp_path):
     path.write_bytes(path.read_bytes() + bytes(4))
     with pytest.raises(CorruptLength, match="trailing"):
         load_model(path)
+
+
+def test_decoding_an_archive_copies_no_blob(tmp_path):
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        _, blobs = _decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(blob.nbytes for blob in blobs.values()) > 0.9 * len(data)
+    # what is left is the header's JSON and one blob's isfinite mask
+    assert peak < 0.25 * len(data)
 
 
 def set_literal(path, dotted: str, literal: str):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import nearest_mean_accuracy
 from oodnet import (LabeledDataset, make_batches, normalize, parse_idx,
                     serialize_idx, split_classes, synth_blobs)
 from oodnet.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, ROLE_MAIN_TEST,
-                         _class_layout, load_idx_dataset)
+                         _class_layout, load_idx_dataset, load_idx_file)
 from oodnet.errors import (DimMismatch, EmptySplit, OodnetError,
                            ShapeMismatch, TruncatedPayload, UnsupportedMagic)
 
@@ -69,6 +70,20 @@ class TestParseIdx:
         encoded = serialize_idx(array)
         assert serialize_idx(parse_idx(encoded)) == encoded
         np.testing.assert_array_equal(parse_idx(encoded), array)
+
+    def test_loading_a_file_holds_it_once(self, tmp_path):
+        # the payload is a view of the bytes read, not a second copy
+        path = tmp_path / "images.idx"
+        path.write_bytes(serialize_idx(np.zeros((4000, 28, 28), np.uint8)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            images = load_idx_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert images.shape == (4000, 28, 28)
+        assert size <= peak < 1.1 * size
 
 
 class TestSplitClasses:

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,27 @@ def ref_conv_backward(x, W, grad, pad):
                     dxp[s, :, i:i + k, j:j + k] += grad[s, o, i, j] * W[o]
     db = grad.sum(axis=(0, 2, 3))
     return dW, db, dxp[:, :, pad:xp.shape[2] - pad, pad:xp.shape[3] - pad]
+
+
+def col2im_backward(layer, grad, x):
+    """(dx, dW, db) of Conv2D.backward as it was computed with the whole
+    (C*k*k, Ho*Wo*m) patch-gradient matrix, for a bit-level reference."""
+    k, p = layer.kernel, layer.pad
+    m, O, Ho, Wo = grad.shape
+    w = layer.W.reshape(O, -1)
+    dW = np.zeros_like(w)
+    for s in range(0, m, BLOCK):
+        g = grad[s:s + BLOCK].transpose(0, 2, 3, 1).reshape(-1, O)
+        dW += g.T @ _im2col(x[s:s + BLOCK], k)
+    _, C, H, W = x.shape
+    dcols = (w.T @ grad.transpose(1, 2, 3, 0).reshape(O, -1)
+             ).reshape(C, k, k, Ho, Wo, m)
+    dx = np.zeros((C, H, W, m), dtype=grad.dtype)
+    for u in range(k):
+        for v in range(k):
+            dx[:, u:u + Ho, v:v + Wo] += dcols[:, u, v]
+    dx = dx[:, p:H - p, p:W - p].transpose(3, 0, 1, 2)
+    return dx, dW.reshape(layer.W.shape), grad.sum(axis=(0, 2, 3))
 
 
 def ref_pool(x):
@@ -217,6 +239,25 @@ class TestTraining:
             traces.append([h.loss for h in hist])
         assert traces[0] == traces[1]
 
+    def test_a_batch_64_step_holds_under_6_mb(self):
+        # between the step's peak with (7.8 MB) and without (4.65 MB)
+        # conv2's whole 150 x 6400 patch-gradient matrix
+        ds = synth_blobs(10, 7, side=28, separation=6.0, seed=0)
+        ds = LabeledDataset(ds.images[:64], ds.labels[:64], dict(ds.class_map))
+        model = Backbone(10, input_side=28, seed=0)
+        centers = Centers(10, model.feature_dim, seed=0)
+        cfg = TrainConfig(lam=1.0)
+        train_epoch(model, centers, ds, cfg)   # build the cached patch indexes
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_epoch(model, centers, ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
     def test_full_batch_descent_non_increasing(self):
         ds = synth_blobs(2, 8, side=12, separation=3.0, seed=3)
         model = Backbone(2, input_side=12, seed=3).astype(np.float64)
@@ -302,6 +343,25 @@ class TestConv2D:
         assert first_dx is None
         np.testing.assert_array_equal(first_dW, dW)
         np.testing.assert_array_equal(first_db, db)
+
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 32, 64])
+    @pytest.mark.parametrize("side", [6, 14])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_the_full_col2im_matrix(self, dtype, side, m):
+        # conv2's shape; float32, the training dtype, to the bit
+        rng = np.random.default_rng(side * 100 + m)
+        layer = Conv2D(6, 16, 5, 0, rng, dtype)
+        x = rng.standard_normal((m, 6, side, side)).astype(dtype)
+        out, saved = layer.forward(x)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        dx, (dW, db) = layer.backward(grad, saved)
+        assert dx.shape == x.shape and dx.flags.c_contiguous
+        for got, want in zip((dx, dW, db), col2im_backward(layer, grad, saved)):
+            assert got.dtype == dtype
+            if dtype == np.float32:
+                np.testing.assert_array_equal(got, want)
+            else:   # OpenBLAS picks a float64 kernel by the row count
+                np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("b", [1, BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("C,H", [(1, 32), (6, 14), (2, 8), (6, 6)])
