@@ -17,8 +17,8 @@ import numpy as np
 
 from .centerloss import Centers
 from .detector import DetectorModel, check_class_count
-from .errors import (BadMagic, CorruptLength, VersionMismatch, json_list,
-                     json_value, parse_json)
+from .errors import (BadMagic, CorruptLength, VersionMismatch, json_field,
+                     json_list, parse_json)
 from .evalkit import replacing
 from .head import OodHead
 from .nn import Backbone, checked_blob
@@ -69,14 +69,6 @@ def save_model(path, state: ModelState):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _field(obj, key: str, kind: type, where: str = "header", least=None,
-           read=json_value):
-    """read(obj[key]): a JSON value of kind, or with read=json_list a
-    nonempty list of them, under the rule of errors.json_value."""
-    return read(obj.get(key) if isinstance(obj, dict) else None, kind,
-                f"{where}.{key}", CorruptLength, least)
-
-
 def _decode(data: bytes) -> tuple[dict, dict]:
     """-> (header, named blobs) of archive bytes; the framing, the header
     JSON and its blob table (each name once) are checked, and every blob
@@ -93,11 +85,11 @@ def _decode(data: bytes) -> tuple[dict, dict]:
     header = parse_json(data[16:16 + header_len], "header", CorruptLength)
     offset = 16 + header_len
     blobs = {}
-    for entry in _field(header, "blobs", list):
-        name = _field(entry, "name", str, "blob")
+    for entry in json_field(header, "blobs", list, "header"):
+        name = json_field(entry, "name", str, "blob")
         if name in blobs:
             raise CorruptLength(f"blob {name} listed twice")
-        shape = _field(entry, "shape", int, f"blob {name}", 0, json_list)
+        shape = json_field(entry, "shape", int, f"blob {name}", 0, json_list)
         count = math.prod(shape)
         end = offset + 4 * count
         if end > len(data):
@@ -117,25 +109,27 @@ def load_model(path) -> ModelState:
         header, blobs = _decode(fh.read())
     # every size a constructor is given below is read from a blob already
     # in the file: arch must be the spec the backbone's blobs imply
-    arch = _field(header, "arch", dict)
-    n, side, d = (_field(arch, key, int, "arch", least) for key, least in
+    arch = json_field(header, "arch", dict, "header")
+    n, side, d = (json_field(arch, key, int, "arch", least) for key, least in
                   (("n_classes", 2), ("input_side", None), ("feature_dim", 1)))
     spec = Backbone.spec_of(blobs)
     if arch != spec:
         raise CorruptLength(f"arch {arch} disagrees with the blob shapes' {spec}")
     backbone = Backbone(n, side, d)
     backbone.load_state(blobs)
-    state = ModelState(backbone=backbone, meta=_field(header, "meta", dict))
+    state = ModelState(backbone=backbone,
+                       meta=json_field(header, "meta", dict, "header"))
 
-    if _field(header, "has_centers", bool):
+    if json_field(header, "has_centers", bool, "header"):
         values = checked_blob(blobs, "centers", (n, d))
-        state.centers = Centers(n, d, rate=_field(header, "center_rate", float))
+        state.centers = Centers(
+            n, d, rate=json_field(header, "center_rate", float, "header"))
         state.centers.values = values.copy()
-    if _field(header, "has_detector", bool):
+    if json_field(header, "has_detector", bool, "header"):
         state.detector = DetectorModel.from_stored(
-            _field(header, "detector", dict), blobs, n, d)
-    if _field(header, "has_head", bool):
-        head = OodHead(d, tau=_field(header, "head_tau", float))
+            json_field(header, "detector", dict, "header"), blobs, n, d)
+    if json_field(header, "has_head", bool, "header"):
+        head = OodHead(d, tau=json_field(header, "head_tau", float, "header"))
         head.load_state(blobs)
         state.head = head
     return state

@@ -33,11 +33,6 @@ class Centers:
             raise DimMismatch(f"{deltas.shape} vs {self.values.shape}")
         self.values -= (self.rate * deltas).astype(self.values.dtype)
 
-    def astype(self, dtype) -> "Centers":
-        other = Centers(self.n_classes, self.dim, self.rate)
-        other.values = self.values.astype(dtype)
-        return other
-
 
 def _check(features, labels, centers):
     if features.ndim != 2 or features.shape[1] != centers.dim:

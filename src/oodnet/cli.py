@@ -14,8 +14,7 @@ import sys
 
 from . import data as datamod
 from .archive import ModelState, load_model, save_model
-from .errors import (ConfigError, CorruptLength, OodnetError, json_value,
-                     parse_json)
+from .errors import ConfigError, OodnetError, json_field, parse_json
 from .evalkit import write_csv, write_metrics_csv
 from .experiment import (RunConfig, _load_split, archive_path, evaluate,
                          run_calibration, run_experiment, run_stage_one,
@@ -89,10 +88,9 @@ def cmd_eval(cfg: RunConfig, args):
     anomaly_test = _load_split(cfg.anomaly, "test", anomaly=True)
     state = _load_calibrated(cfg, args)
     # the cell's lambda and seed: the archive's, else the config's first
-    lam, seed = (json_value(state.meta.get(key, default), kind, f"meta.{key}",
-                            CorruptLength, least=0)
-                 for key, kind, default in (("lambda", float, cfg.lambdas[0]),
-                                            ("seed", int, cfg.seeds[0])))
+    meta = {"lambda": cfg.lambdas[0], "seed": cfg.seeds[0], **state.meta}
+    lam, seed = (json_field(meta, key, kind, "meta", 0)
+                 for key, kind in (("lambda", float), ("seed", int)))
     main_test = _load_split(cfg.main, "test", anomaly=False)
     model = state.backbone
     rows = evaluate(state, *embed(model, main_test.images), main_test.labels,

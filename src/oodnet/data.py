@@ -145,7 +145,8 @@ def split_classes(ds: LabeledDataset, keep, relabel: bool = False) -> LabeledDat
         labels = np.searchsorted(keep, labels).astype(np.int64)
     else:
         mapping = {orig: orig for orig in keep}
-    return LabeledDataset(ds.images[mask].copy(), labels, mapping, ds.role)
+    # boolean indexing copies: the result shares no memory with ds
+    return LabeledDataset(ds.images[mask], labels, mapping, ds.role)
 
 
 def make_batches(ds: LabeledDataset, m: int, seed: int = 0) -> Iterator[MiniBatch]:

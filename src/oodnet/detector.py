@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CorruptLength, DegenerateClass, FactorizationFailure,
-                     NotCalibrated, ShapeMismatch, json_list, json_value)
-from .nn import _map_rows, checked_blob, extract_features, feature_rows
+                     NotCalibrated, ShapeMismatch, json_field, json_list)
+from .nn import _map_rows, checked_blob, feature_rows
 
 DEFAULT_PERCENTILE = 0.975
 
@@ -180,14 +180,11 @@ class DetectorModel:
         """Inverse of stored() for n classes of d features. A bad header
         value is CorruptLength; a class count other than n, or a missing or
         misshapen blob, is ShapeMismatch."""
-        def field(key, kind, least=None, read=json_value):
-            return read(header.get(key), kind, f"detector.{key}",
-                        CorruptLength, least)
-
-        counts = field("counts", int, 0, json_list)
+        counts = json_field(header, "counts", int, "detector", 0, json_list)
         check_class_count(len(counts), n)
-        percentile = check_percentile(field("percentile", float), CorruptLength,
-                                      "detector.percentile")
+        percentile = check_percentile(
+            json_field(header, "percentile", float, "detector"), CorruptLength,
+            "detector.percentile")
         upper = np.triu_indices(d)
         stats = []
         for j, count in enumerate(counts):
@@ -197,7 +194,7 @@ class DetectorModel:
                 blobs, f"det.cov_upper.{j}", (len(upper[0]),))
             stats.append(ClassStats._from_moments(mean, cov, count))
         det = cls(stats, percentile)
-        if field("calibrated", bool):
+        if json_field(header, "calibrated", bool, "detector"):
             det.thresholds = checked_blob(blobs, "det.thresholds",
                                           (n,)).astype(np.float64)
         return det
@@ -209,16 +206,19 @@ class DetectorModel:
             *self.stored(), self.n_classes, len(self.stats[0].mean))))
         return self
 
-    def is_normal(self, x: np.ndarray) -> bool:
-        """True iff some class accepts x (distance <= threshold, inclusive)."""
+    def accepts(self, dists: np.ndarray):
+        """The detector's verdict on distances (one row or a matrix): normal
+        iff some class is at <= its threshold, inclusive."""
         if self.thresholds is None:
             raise NotCalibrated("call calibrate() first")
-        return bool((self.distances(x) <= self.thresholds).any())
+        return (dists <= self.thresholds).any(axis=-1)
+
+    def is_normal(self, x: np.ndarray) -> bool:
+        """True iff some class accepts the feature vector x."""
+        return bool(self.accepts(self.distances(x)))
 
     def is_normal_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.thresholds is None:
-            raise NotCalibrated("call calibrate() first")
-        return (self.distances_many(xs) <= self.thresholds).any(axis=1)
+        return self.accepts(self.distances_many(xs))
 
     def anomaly_score(self, x: np.ndarray) -> float:
         """Distance to the nearest class model; higher = more anomalous."""
@@ -226,10 +226,3 @@ class DetectorModel:
 
     def anomaly_score_many(self, xs: np.ndarray) -> np.ndarray:
         return self.distances_many(xs).min(axis=1)
-
-
-def detect(det: DetectorModel, model, image: np.ndarray) -> bool:
-    """Full-image criterion: embed through the backbone, then accept if
-    any class distance is inside its threshold. False marks anomalous."""
-    feats = extract_features(model, image)
-    return det.is_normal(feats[0])

@@ -6,6 +6,8 @@ The rule for such a JSON value: a bool stands only for bool, an integer
 or float where a float is expected must be a finite float, and a number
 may have to reach a least value. Each reader raises the error type it
 is given: ConfigError for a config, CorruptLength for an archive.
+``json_field`` reads every stored field: a key of an archive's header,
+of its detector object or of its meta.
 """
 import json
 import sys
@@ -125,6 +127,14 @@ def json_value(value, kind: type, where: str, error: type, least=None):
     if least is not None and value < least:
         raise error(f"{where}: must be >= {least}, got {value!r}")
     return value
+
+
+def json_field(obj, key: str, kind: type, where: str, least=None,
+               read=json_value):
+    """read(obj[key]) under the name where.key: a stored JSON value of kind,
+    or with read=json_list a nonempty list of them, else CorruptLength."""
+    return read(obj.get(key) if isinstance(obj, dict) else None, kind,
+                f"{where}.{key}", CorruptLength, least)
 
 
 def json_list(value, kind: type, where: str, error: type, least=None) -> list:

@@ -55,14 +55,6 @@ class RocCurve:
         self.points = points
         self.auc = auc
 
-    @property
-    def fpr(self):
-        return self.points[:, 0]
-
-    @property
-    def tpr(self):
-        return self.points[:, 1]
-
 
 def roc(scores, is_anomalous, higher_is_anomalous: bool = True) -> RocCurve:
     """ROC over all distinct score cut points, anomalous class positive.
@@ -135,12 +127,14 @@ def replacing(path, mode: str, **kwargs):
     in path's directory (made if missing), renamed onto path by
     os.replace. If anything fails, the temporary file is removed and path
     is as it was. The file gets the mode bits a plain open() would leave:
-    an existing path's, else 0o666 less the umask. There is no fsync, so
-    this guards against a failed write or process, not a power loss."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".{os.path.basename(path)}."
-                                  f"{os.urandom(8).hex()}.tmp")
+    an existing path's, else 0o666 less the umask. A symlink is written
+    through: the file it points to is replaced and the link stays. There
+    is no fsync, so this guards against a failed write or process, not a
+    power loss."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}."
+                                              f"{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, mode, **kwargs) as fh:

@@ -62,16 +62,6 @@ def _sigmoid(z):
     return out
 
 
-def head_forward(head: OodHead, feature: np.ndarray) -> float:
-    """Probability that a single feature vector is normal."""
-    return float(head.forward_many(np.atleast_2d(feature))[0])
-
-
-def bce(p: float, y: int) -> float:
-    """Binary cross-entropy of one probability."""
-    return bce_many(np.array([float(p)]), np.array([y]))
-
-
 def bce_many(p: np.ndarray, y: np.ndarray) -> float:
     """Summed binary cross-entropy with probabilities clamped away from
     {0, 1}."""
@@ -81,7 +71,8 @@ def bce_many(p: np.ndarray, y: np.ndarray) -> float:
 
 def classify_ood(head: OodHead, feature: np.ndarray) -> str:
     """'normal' when the head accepts the feature's p, else 'ood'."""
-    return "normal" if head.accepts(head_forward(head, feature)) else "ood"
+    p = head.forward_many(np.atleast_2d(feature))[0]
+    return "normal" if head.accepts(p) else "ood"
 
 
 @dataclass

@@ -19,7 +19,8 @@ def f64_setup(n_classes=3, side=12, batch=4, seed=0):
     """Small float64 model, centroids and batch for gradient verification."""
     ds = synth_blobs(n_classes, 10, side=side, separation=3.5, seed=seed + 1)
     model = Backbone(n_classes, input_side=side, seed=seed).astype(np.float64)
-    centers = Centers(n_classes, model.feature_dim, seed=seed).astype(np.float64)
+    centers = Centers(n_classes, model.feature_dim, seed=seed)
+    centers.values = centers.values.astype(np.float64)
     mb = MiniBatch(ds.images[:batch].astype(np.float64), ds.labels[:batch])
     return model, centers, mb
 

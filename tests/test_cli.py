@@ -366,12 +366,10 @@ class TestRunExperiment:
 
 class TestDetectEndToEnd:
     def test_detect_full_image_criterion(self):
-        from oodnet import detect
-
         state = full_state()
         ds = synth_blobs(3, 90, side=12, separation=3.5, seed=0)
-        verdicts = [detect(state.detector, state.backbone, img)
-                    for img in ds.images[:30]]
+        verdicts = state.detector.is_normal_many(
+            extract_features(state.backbone, ds.images[:30]))
         # calibration set itself: overwhelmingly accepted
         assert np.mean(verdicts) >= 0.9
 
@@ -620,3 +618,42 @@ def test_run_experiment_takes_no_model(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["run-experiment", "--config", cfg_path, "--model", "x"])
     assert info.value.code == 2
+
+
+def test_calibrate_through_a_symlinked_model_writes_the_file_it_points_to(
+        tmp_path):
+    """--model a symlink into another directory: the link stays a link,
+    the file it points to holds the calibrated archive, and neither
+    directory keeps a temporary file."""
+    cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=1))
+    store, links = tmp_path / "store", tmp_path / "links"
+    store.mkdir()
+    links.mkdir()
+    target, link = store / "m.oodn", links / "m.oodn"
+    assert main(["train", "--config", cfg_path, "--model", str(target)]) == 0
+    link.symlink_to(target)
+    assert main(["calibrate", "--config", cfg_path, "--model", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert load_model(target).detector.thresholds is not None
+    assert [p.name for p in store.iterdir()] == ["m.oodn"]
+    assert [p.name for p in links.iterdir()] == ["m.oodn"]
+
+
+def test_the_cli_runs_as_a_process(tmp_path):
+    """python -m oodnet.cli in a child process: --help exits 0, and score
+    with a missing config exits 1 with its error on stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "oodnet.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+
+    shown = run("--help")
+    assert shown.returncode == 0, shown.stderr
+    assert shown.stdout.startswith("usage: oodnet")
+    failed = run("score", "--config", "missing.json", "probe.idx")
+    assert failed.returncode == 1
+    assert failed.stderr.startswith("error [score]: ")
+    assert "missing.json" in failed.stderr

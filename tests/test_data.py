@@ -117,6 +117,25 @@ class TestSplitClasses:
         for orig in (2, 4, 6):
             assert inverse[out.class_map[orig]] == orig
 
+    def test_kept_images_are_copied_once(self):
+        """The zero-holdout split of IDX bytes (9 of 10 classes kept): the
+        boolean index is the one copy, so the traced peak stays near the
+        kept bytes, and the result shares no memory with its source."""
+        labels = np.arange(6000, dtype=np.int64) % 10
+        images = np.random.default_rng(0).integers(
+            0, 256, (len(labels), 28, 28), dtype=np.uint8)
+        ds = LabeledDataset(images, labels, {c: c for c in range(10)})
+        tracemalloc.start()
+        try:
+            out = split_classes(ds, range(1, 10), relabel=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 5400
+        assert peak < 1.3 * out.images.nbytes
+        assert not np.shares_memory(out.images, ds.images)
+        assert not np.shares_memory(out.labels, ds.labels)
+
 
 class TestNormalize:
     @pytest.mark.parametrize("raw,expected", [(0, 0.0), (255, 1.0), (51, 0.2)])

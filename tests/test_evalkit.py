@@ -82,16 +82,16 @@ class TestRoc:
 
     def test_endpoints_present(self):
         curve = roc([1.0, 2.0, 3.0, 4.0], [False, True, False, True])
-        assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
-        assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
+        assert curve.points[0, 0] == 0.0 and curve.points[0, 1] == 0.0
+        assert curve.points[-1, 0] == 1.0 and curve.points[-1, 1] == 1.0
 
     def test_monotone_sweep(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=40)
         labels = rng.random(40) > 0.5
         curve = roc(scores, labels)
-        assert (np.diff(curve.fpr) >= 0).all()
-        assert (np.diff(curve.tpr) >= 0).all()
+        assert (np.diff(curve.points[:, 0]) >= 0).all()
+        assert (np.diff(curve.points[:, 1]) >= 0).all()
 
     def test_four_sample_mixed_matches_concordance(self):
         scores = [0.9, 0.8, 0.8, 0.1]

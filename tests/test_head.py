@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from oodnet import (Backbone, OodHead, bce, classify_ood, head_forward,
-                    synth_blobs, train_head)
+from oodnet import Backbone, OodHead, classify_ood, synth_blobs, train_head
 from oodnet.errors import DimMismatch, EmptyDataset, NonFiniteFeature
-from oodnet.head import HeadTrainConfig, train_head_on_features
+from oodnet.head import HeadTrainConfig, bce_many, train_head_on_features
 from oodnet.nn import Dense, extract_features
 
 
@@ -39,23 +38,23 @@ class TestHeadForward:
         head = OodHead(4, seed=0)
         for p in head.parameters():
             p[...] = 0
-        assert head_forward(head, np.ones(4)) == pytest.approx(0.5)
+        assert head.forward_many(np.ones((1, 4)))[0] == pytest.approx(0.5)
 
     def test_large_final_bias_saturates(self):
         head = OodHead(4, seed=0)
         head.layers[-1].b[...] = 50.0
-        assert head_forward(head, np.zeros(4)) > 0.999999
+        assert head.forward_many(np.zeros((1, 4)))[0] > 0.999999
 
     def test_matches_explicit_loop_reference(self):
         head = OodHead(6, seed=0).astype(np.float64)
         feature = np.random.default_rng(0).normal(size=6)
-        got = head_forward(head, feature)
+        got = head.forward_many(feature[None])[0]
         assert got == pytest.approx(ref_head_forward(head, feature), rel=1e-12)
 
     def test_dim_mismatch(self):
         head = OodHead(4, seed=0)
         with pytest.raises(DimMismatch):
-            head_forward(head, np.zeros(5))
+            head.forward_many(np.zeros((1, 5)))
 
     def test_output_open_interval(self):
         head = OodHead(3, seed=1)
@@ -65,9 +64,9 @@ class TestHeadForward:
     def test_monotone_in_final_bias(self):
         head = OodHead(3, seed=2)
         x = np.random.default_rng(2).normal(size=3)
-        before = head_forward(head, x)
+        before = head.forward_many(x[None])[0]
         head.layers[-1].b += 0.7
-        assert head_forward(head, x) >= before
+        assert head.forward_many(x[None])[0] >= before
 
     def test_zero_rows_give_zero_probabilities(self):
         p = OodHead(4, seed=0).forward_many(np.zeros((0, 4)))
@@ -79,7 +78,7 @@ class TestHeadForward:
         one-row call."""
         head = OodHead(84, seed=0)
         feats = np.random.default_rng(3).random((600, 84), dtype=np.float32)
-        singles = np.array([head_forward(head, f) for f in feats],
+        singles = np.array([head.forward_many(f[None])[0] for f in feats],
                            dtype=np.float32)
         for n in (2, 255, 256, 257, 600):
             np.testing.assert_array_equal(head.forward_many(feats[:n]),
@@ -88,21 +87,25 @@ class TestHeadForward:
 
 
 class TestBce:
+    """bce_many of one-element arrays: the loss of a single probability."""
+
     def test_half_probability(self):
-        assert bce(0.5, 0) == pytest.approx(math.log(2), rel=1e-9)
-        assert bce(0.5, 1) == pytest.approx(math.log(2), rel=1e-9)
+        for y in (0, 1):
+            assert bce_many(np.array([0.5]), np.array([y])) \
+                == pytest.approx(math.log(2), rel=1e-9)
 
     def test_confident_correct_near_zero(self):
-        assert bce(1.0 - 1e-9, 1) < 1e-6
+        assert bce_many(np.array([1.0 - 1e-9]), np.array([1])) < 1e-6
 
     def test_reference_value(self):
         p = 1.0 / (1.0 + math.exp(-1.0))  # 0.7310585786
-        assert bce(p, 1) == pytest.approx(0.3132616875182228, rel=1e-9)
+        assert bce_many(np.array([p]), np.array([1])) \
+            == pytest.approx(0.3132616875182228, rel=1e-9)
 
     def test_nonnegative(self):
         for p in (0.0, 0.2, 0.8, 1.0):
             for y in (0, 1):
-                assert bce(p, y) >= 0.0
+                assert bce_many(np.array([p]), np.array([y])) >= 0.0
 
 
 class TestTrainHead:
@@ -218,6 +221,18 @@ class TestClassifyOod:
         head = self.make_head_with_p(0.5)
         assert classify_ood(head, np.zeros(2)) == "normal"
 
+    def test_one_feature_gets_the_batched_verdict(self):
+        """With tau just above a float32 p, the one-feature call and the
+        batched call compare p with tau alike."""
+        head = OodHead(3, seed=1)
+        feats = np.random.default_rng(1).normal(size=(4, 3))
+        p = head.forward_many(feats)
+        for i, p_i in enumerate(p):
+            head.tau = float(p_i) + 1e-12
+            batched = head.accepts(head.forward_many(feats))[i]
+            assert classify_ood(head, feats[i]) == ("normal" if batched
+                                                    else "ood")
+
     def test_accepts_is_inclusive(self):
         head = OodHead(2, seed=0, tau=0.5)
         np.testing.assert_array_equal(head.accepts(np.array([0.4, 0.5, 0.6])),
@@ -236,7 +251,7 @@ class TestNonFiniteFeature:
             feats = extract_features(model, image)
         assert not np.isfinite(feats).all()
         for call in (lambda: classify_ood(head, feats[0]),
-                     lambda: head_forward(head, feats[0]),
+                     lambda: head.forward_many(feats[:1]),
                      lambda: head.forward_many(feats)):
             with pytest.raises(NonFiniteFeature):
                 call()
