@@ -23,7 +23,9 @@ _ROLES = (ROLE_MAIN_TRAIN, ROLE_MAIN_TEST, ROLE_ANOMALY)
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Immutable image dataset with dense integer labels.
+    """Immutable image dataset with dense integer labels. It holds
+    read-only views of the arrays it is given (no pixel is copied), and
+    leaves the caller's own arrays writeable.
 
     images: (M, H, W), either IDX bytes (uint8, held at one byte per
         pixel and scaled by ``normalize`` as they enter the network) or
@@ -47,8 +49,10 @@ class LabeledDataset:
         values = set(self.class_map.values())
         if len(values) != len(self.class_map):
             raise ValueError("class_map is not injective")
-        self.images.setflags(write=False)
-        self.labels.setflags(write=False)
+        for name in ("images", "labels"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def __len__(self):
         return len(self.images)

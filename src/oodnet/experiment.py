@@ -119,6 +119,12 @@ class RunConfig:
             **{key: float(_value(raw[key], float, key))
                for key in ("percentile", "tau") if key in raw})
         check_percentile(cfg.percentile, ConfigError)
+        keep = cfg.main.keep_classes and sorted(set(cfg.main.keep_classes))
+        if keep and not cfg.main.relabel and keep != list(range(len(keep))):
+            # the main labels index the classes: a gap leaves one empty
+            raise ConfigError(
+                f"data.main.keep_classes: {keep} are not 0..{len(keep) - 1}; "
+                "set data.main.relabel to true to renumber them")
         for key, tags in (("lambdas", [_tag(lam, 0) for lam in cfg.lambdas]),
                           ("seeds", [_tag(0.0, seed) for seed in cfg.seeds])):
             if len(set(tags)) < len(tags):   # two cells would share files

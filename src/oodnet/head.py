@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import EmptyDataset, NonFiniteLoss
 from .nn import (SGD, Backbone, Dense, LayerStack, ReLU, SGDConfig,
-                 _map_rows, bounded, extract_features, feature_rows)
+                 _map_rows, _one_blas_thread, bounded, extract_features,
+                 feature_rows)
 
 BCE_CLAMP = 1e-7
 
@@ -44,8 +45,9 @@ class OodHead(LayerStack):
         return _sigmoid(z[:, 0])
 
     def accepts(self, p):
-        """p >= tau, inclusive (a normal verdict), for a scalar or array p."""
-        return p >= self.tau
+        """p >= tau, inclusive (a normal verdict), for a scalar or array p,
+        compared in float64: numpy would round tau to p's float32."""
+        return np.asarray(p, dtype=np.float64) >= self.tau
 
     def backward(self, dlogit: np.ndarray, tape: list):
         """Backprop from the pre-sigmoid logit gradient (m,) and its forward's
@@ -93,6 +95,7 @@ def train_head(model: Backbone, head: OodHead, main_ds, anomaly_ds,
                                   extract_features(model, anomaly_ds.images), cfg)
 
 
+@_one_blas_thread()
 def train_head_on_features(head: OodHead, feats_main, feats_anom,
                            cfg: HeadTrainConfig) -> list[float]:
     rng = np.random.default_rng(cfg.seed)

@@ -22,10 +22,20 @@ its row slices on every usable CPU (``_map_rows``) and still gives the
 same bits.
 No layer keeps state, gradients included: ``forward(x)`` returns
 ``(out, saved)``, and ``backward(grad, saved)`` reads only its arguments
-and returns ``(input gradient, parameter gradients)``.
+and returns ``(input gradient, parameter gradients)``. ReLU overwrites
+its input going forward and the incoming gradient going back; both are
+always fresh arrays, and its output is the next layer's saved input, so
+the tape holds no mask.
+
+Training (``train_epoch`` and the head's ``train_head_on_features``)
+runs every GEMM with OpenBLAS at one thread: at batch 64 the products are
+too small to gain from a second BLAS thread, which would only touch a
+buffer of its own. ``_one_blas_thread`` is the one writer of that count,
+for training and for ``_map_rows`` alike.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -190,12 +200,19 @@ class Conv2D(ParamLayer):
 
 
 class ReLU(Layer):
-    def forward(self, x):
-        mask = x > 0
-        return x * mask, mask
+    """x * (x > 0), written into x. ``saved`` is that output, which the next
+    layer saves too, so the tape holds no mask of its own; ``out > 0`` is
+    the mask bit for bit (also for ±0, NaN and ±inf). Backward writes
+    ``grad * (out > 0)`` into grad. Both arrays must be the caller's to
+    overwrite: every layer and stack here passes fresh ones."""
 
-    def backward(self, grad, mask):
-        return grad * mask, ()
+    def forward(self, x):
+        np.multiply(x, x > 0, out=x)
+        return x, x
+
+    def backward(self, grad, out):
+        np.multiply(grad, out > 0, out=grad)
+        return grad, ()
 
 
 class MaxPool2x2(Layer):
@@ -440,12 +457,55 @@ def _blas_threads():
     return get, put
 
 
+class _Pin:
+    """The open regions that hold numpy's OpenBLAS at one thread, and the
+    count the first of them found. ``lock`` guards both and every write of
+    the count."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.regions = 0
+        self.saved = None
+
+
+_pin = _Pin()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread. Regions may nest
+    and may overlap on several threads: the first to begin saves the count
+    and sets 1, the last to end sets the saved count back. Does nothing
+    where numpy's OpenBLAS exports no thread setter."""
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    pin = _pin
+    with pin.lock:
+        if not pin.regions:
+            pin.saved = get()
+            put(1)
+        pin.regions += 1
+    try:
+        yield
+    finally:
+        if pin is _pin:   # else it is a forked child's, which has dropped it
+            with pin.lock:
+                pin.regions -= 1
+                if not pin.regions:
+                    put(pin.saved)
+
+
 def _forget_pool():
     """A forked child has none of its parent's threads: a slice given to
     the inherited pool would never run (nor be freed), and a _busy held
-    by a parent thread would never be released."""
-    global _pool, _busy
-    _pool, _busy = None, threading.Lock()
+    by a parent thread would never be released. Likewise a pin region open
+    at the fork may never end in the child: the child starts with none,
+    at the BLAS thread count it inherited."""
+    global _pool, _busy, _pin
+    _pool, _busy, _pin = None, threading.Lock(), _Pin()
 
 
 if hasattr(os, "register_at_fork"):   # absent where there is no fork
@@ -488,32 +548,26 @@ def _map_rows(fn, rows) -> list:
         finally:
             _inside.pooled = False
 
-    get, put = _blas_threads()
-    with _busy:
+    with _busy, _one_blas_thread():
         if _pool is None:
             # imported on first use: it adds ~6 ms to every import of oodnet
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(workers - 1)
-        saved = get()
-        put(1)
+        helpers = [_pool.submit(drain) for _ in range(workers - 1)]
         try:
-            helpers = [_pool.submit(drain) for _ in range(workers - 1)]
-            try:
-                drain()
-            finally:
-                with take:   # the caller is done, or fn raised: hand out no more
-                    jobs = iter(())
-                # a helper that has not started would find no job left: it
-                # need not run, so a caller that is itself a pool thread
-                # never waits on a pool whose threads all wait. Every helper
-                # that has started ends before any error of theirs is raised.
-                started = [h for h in helpers if not h.cancel()]
-                for helper in started:
-                    helper.exception()
-                for helper in started:
-                    helper.result()
+            drain()
         finally:
-            put(saved)
+            with take:   # the caller is done, or fn raised: hand out no more
+                jobs = iter(())
+            # a helper that has not started would find no job left: it
+            # need not run, so a caller that is itself a pool thread
+            # never waits on a pool whose threads all wait. Every helper
+            # that has started ends before any error of theirs is raised.
+            started = [h for h in helpers if not h.cancel()]
+            for helper in started:
+                helper.exception()
+            for helper in started:
+                helper.result()
     return [out[s] for s in starts]
 
 
@@ -595,6 +649,7 @@ def loss_and_grads(model: Backbone, centers, batch: MiniBatch, lam: float, tape=
     return combine(loss_s, loss_c, lam), logits, dlogits, dfeatures, deltas
 
 
+@_one_blas_thread()
 def train_epoch(model: Backbone, centers, ds: LabeledDataset,
                 cfg: TrainConfig, optimizer: SGD | None = None,
                 epoch_seed: int | None = None) -> EpochRecord:

@@ -353,6 +353,7 @@ CONFIG_FAULTS = [
     ("train.epochs", "3"),
     ("head_train.epochs", -1),
     ("data.main.relabel", "no"),
+    ("data.main.keep_classes", [1, 2]),   # class 0 would be empty
     pytest.param("lambdas", [PAST_FLOAT], id="lambdas-int_past_float"),
     *(pytest.param(key, PAST_FLOAT, id=f"{key}-int_past_float") for key in
       ("percentile", "tau", "train.learning_rate", "train.momentum")),
@@ -396,6 +397,26 @@ class TestConfigFaults:
         cfg_path.write_text(json.dumps(synth_config(tmp_path)))
         assert main(["train", "--config", str(cfg_path), *override]) == 1
         assert "error [train]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keep", [[1, 2], [0, 2], [3, 0, 1, 2, 5]])
+def test_main_classes_off_0_to_k_without_relabel_name_both_keys(tmp_path, keep):
+    raw = synth_config(tmp_path)
+    raw["data"]["main"]["keep_classes"] = keep
+    with pytest.raises(ConfigError,
+                       match=r"data\.main\.keep_classes: .*data\.main\.relabel"):
+        RunConfig.from_dict(raw)
+    raw["data"]["main"]["relabel"] = True
+    RunConfig.from_dict(raw)
+
+
+def test_classes_0_to_k_or_of_the_anomaly_source_need_no_relabel(tmp_path):
+    """Only the main source's labels index classes."""
+    raw = synth_config(tmp_path)
+    raw["data"]["main"]["keep_classes"] = [2, 0, 1, 0]
+    raw["data"]["anomaly"]["keep_classes"] = [1]
+    cfg = RunConfig.from_dict(raw)
+    assert not cfg.main.relabel and not cfg.anomaly.relabel
 
 
 def without_key(tmp_path, dotted: str) -> dict:

@@ -257,6 +257,19 @@ class TestSynthBlobs:
 
 
 class TestLabeledDatasetChecks:
+    def test_the_callers_arrays_stay_writeable_and_the_datasets_do_not(self):
+        images = np.zeros((2, 4, 4), dtype=np.float32)
+        labels = np.array([0, 1])
+        ds = LabeledDataset(images, labels)
+        assert images.flags.writeable and labels.flags.writeable
+        assert not ds.images.flags.writeable and not ds.labels.flags.writeable
+        images[0, 0, 0], labels[1] = 1.0, 0   # views: no pixel was copied
+        assert ds.images[0, 0, 0] == 1.0 and ds.labels[1] == 0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.images[0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = 1
+
     def test_length_mismatch_is_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             LabeledDataset(np.zeros((3, 4, 4), dtype=np.float32),

@@ -233,6 +233,17 @@ class TestClassifyOod:
             assert classify_ood(head, feats[i]) == ("normal" if batched
                                                     else "ood")
 
+    def test_tau_is_compared_exactly(self):
+        """0.7 is no float32: a p on either side of float32(0.7) compares
+        with 0.7 itself, not with 0.7 rounded to float32 (which p equals)."""
+        below = np.float32(0.7)
+        above = np.nextafter(below, np.float32(1))
+        assert float(below) < 0.7 < float(above)
+        head = OodHead(2, seed=0, tau=0.7)
+        assert not head.accepts(below) and head.accepts(above)
+        np.testing.assert_array_equal(
+            head.accepts(np.array([below, above, below])), [False, True, False])
+
     def test_accepts_is_inclusive(self):
         head = OodHead(2, seed=0, tau=0.5)
         np.testing.assert_array_equal(head.accepts(np.array([0.4, 0.5, 0.6])),

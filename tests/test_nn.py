@@ -15,9 +15,10 @@ from test_detector import fresh_python
 from oodnet import (Backbone, Centers, TrainConfig, embed, extract_features,
                     grad_check, softmax_xent, synth_blobs, train, train_epoch)
 from oodnet.data import LabeledDataset, MiniBatch, normalize
-from oodnet.errors import EmptyDataset, LabelOutOfRange, ShapeMismatch
+from oodnet.errors import (EmptyDataset, LabelOutOfRange, NonFiniteLoss,
+                           ShapeMismatch)
 from oodnet import nn
-from oodnet.head import OodHead
+from oodnet.head import HeadTrainConfig, OodHead, train_head_on_features
 from oodnet.nn import (BLOCK, SGD, Conv2D, Dense, MaxPool2x2, ReLU,
                        _im2col, _map_rows, _patch_index)
 
@@ -423,6 +424,40 @@ class TestMaxPool:
         assert nonzero.max() <= 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # -inf * 0
+class TestReLU:
+    @staticmethod
+    def awkward(dtype, seed):
+        """±0, negatives, NaN, ±inf, subnormals and positives, shuffled."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        values = np.array([0.0, -0.0, -1.5, -tiny, tiny, 2.5, np.nan, -np.nan,
+                           np.inf, -np.inf, 1e-3, -7.0], dtype=dtype)
+        return np.random.default_rng(seed).permutation(np.tile(values, 6))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_give_the_bits_of_the_mask_formula(self,
+                                                                   dtype):
+        x = self.awkward(dtype, 0).reshape(2, 3, 4, 3)
+        grad = self.awkward(dtype, 1).reshape(x.shape)
+        want_out, want_dx = x * (x > 0), grad * (x > 0)
+        relu = ReLU()
+        out, saved = relu.forward(x.copy())
+        assert saved is out
+        dx, own = relu.backward(grad.copy(), saved)
+        assert own == ()
+        for got, want in ((out, want_out), (dx, want_dx)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_forward_and_backward_overwrite_their_arguments(self):
+        x = self.awkward(np.float32, 2)
+        grad = self.awkward(np.float32, 3)
+        relu = ReLU()
+        out, saved = relu.forward(x)
+        dx, _ = relu.backward(grad, saved)
+        assert out is x and dx is grad
+
+
 def test_inference_forwards_read_no_layer_state():
     """An inference forward keeps nothing on a layer: embed and the
     head's forward_many, batched and on one row, leave every layer's
@@ -787,6 +822,190 @@ class TestMapRows:
         for call in calls:
             np.testing.assert_array_equal(
                 np.concatenate(call.result(timeout=60)), rows * 2)
+
+
+# --- training on one BLAS thread (nn._one_blas_thread) ---
+
+
+def head_features(n, seed):
+    return np.random.default_rng(seed).normal(size=(n, 6)).astype(np.float32)
+
+
+def train_backbone(nan=False):
+    """One train_epoch on 12x12 blobs (with a NaN pixel if nan)."""
+    ds = synth_blobs(3, 20, side=12, seed=5)
+    images = ds.images.copy()
+    if nan:
+        images[0, 0, 0] = np.nan
+    model = Backbone(3, input_side=12, seed=5)
+    return train_epoch(model, Centers(3, model.feature_dim, seed=5),
+                       LabeledDataset(images, ds.labels.copy()),
+                       TrainConfig(lam=0.5, batch_size=16, seed=5))
+
+
+def train_small_head(nan=False):
+    """train_head_on_features over 6-d features (at a learning rate that
+    makes the loss NaN if nan)."""
+    head = OodHead(6, seed=5)
+    cfg = HeadTrainConfig(epochs=4, batch_size=16, seed=5,
+                          learning_rate=1e30 if nan else 0.01)
+    return train_head_on_features(head, head_features(40, 1),
+                                  head_features(30, 2), cfg)
+
+
+TRAINERS = [pytest.param(train_backbone, id="train_epoch"),
+            pytest.param(train_small_head, id="train_head_on_features")]
+
+
+class TestTrainingOnOneBlasThread:
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_every_step_sees_one_thread_and_the_count_comes_back(
+            self, trainer, monkeypatch):
+        get, put = blas_threads()
+        seen = []
+        step = SGD.step
+
+        def counted(self, grads):
+            seen.append(get())
+            return step(self, grads)
+
+        monkeypatch.setattr(SGD, "step", counted)
+        before = get()
+        put(3)   # a count no region sets
+        try:
+            trainer()
+            assert get() == 3
+        finally:
+            put(before)
+        assert seen and set(seen) == {1}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_a_training_call_that_raises_restores_the_count(self, trainer):
+        get, put = blas_threads()
+        before = get()
+        put(3)
+        try:
+            with pytest.raises(NonFiniteLoss):
+                trainer(nan=True)
+            assert get() == 3
+        finally:
+            put(before)
+
+    def test_a_pooled_embed_inside_a_training_call_on_another_thread(
+            self, model28, monkeypatch):
+        """The training region opens first and ends last: the pooled call
+        nested in it on another thread writes nothing, every slice of it
+        sees one thread, and the count found comes back after both. Every
+        write holds the pin's lock."""
+        get, put = blas_threads()
+        if nn._cpus() < 2:   # take the pooled path on one CPU too
+            monkeypatch.setattr(nn, "_cpus", lambda: 2)
+        images = images28(40, seed=6)
+        want = embed(model28, images)
+        writes = []
+
+        def guarded(n):
+            assert nn._pin.lock.locked(), f"BLAS thread count set to {n} unlocked"
+            writes.append(n)
+            put(n)
+
+        monkeypatch.setattr(nn, "_blas_threads", lambda: (get, guarded))
+        training, embedded = threading.Event(), threading.Event()
+        step = SGD.step
+
+        def waiting(self, grads):   # the first step waits for the embed
+            if not training.is_set():
+                training.set()
+                assert embedded.wait(timeout=60)
+            return step(self, grads)
+
+        monkeypatch.setattr(SGD, "step", waiting)
+        before = get()
+        put(3)
+        try:
+            trainer = threading.Thread(target=train_backbone, daemon=True)
+            trainer.start()
+            assert training.wait(timeout=60)
+            parts = _map_rows(lambda part: (get(), model28.forward(part)), images)
+            embedded.set()
+            trainer.join(timeout=60)
+            assert not trainer.is_alive() and get() == 3
+        finally:
+            embedded.set()
+            put(before)
+        assert writes == [1, 3]
+        counts, outputs = zip(*parts)
+        assert set(counts) == {1}
+        np.testing.assert_array_equal(np.concatenate([f for f, _ in outputs]),
+                                      want[0])
+
+    def test_without_a_blas_thread_setter_training_runs_unpinned(
+            self, monkeypatch):
+        monkeypatch.setattr(nn, "_blas_threads", lambda: None)
+        train_backbone()
+        train_small_head()
+        assert nn._pin.regions == 0
+
+
+FORKED_IN_A_PIN = """
+import os, signal, threading
+import numpy as np
+from oodnet import nn
+get, put = nn._blas_threads()
+put(3)
+nn._map_rows(lambda rows: rows, np.arange(8))   # the parent's pool has threads
+pooled = nn._cpus() > 1
+
+def child():
+    signal.alarm(60)
+    ok = get() == 1 and nn._pin.regions == 0   # as inherited, in no region
+    put(4)   # a count of the child's own
+    seen = nn._map_rows(lambda rows: get(), np.arange(8))
+    return ok and set(seen) == {1 if pooled else 4} and get() == 4
+
+def fork(check):
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if check() else 1)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+# forked on the thread that holds the region: its end in the child writes
+# nothing, not even while the child holds a region of its own
+own = nn._one_blas_thread()
+with nn._one_blas_thread():
+    pid = os.fork()
+    if pid == 0:
+        ok = child()
+        own.__enter__()
+if pid == 0:
+    ok = ok and get() == 1 and nn._pin.regions == 1
+    own.__exit__(None, None, None)
+    os._exit(0 if ok and get() == 4 and nn._pin.regions == 0 else 1)
+same = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+# forked while another thread holds the region
+held, done = threading.Event(), threading.Event()
+def hold():
+    with nn._one_blas_thread():
+        held.set()
+        done.wait(timeout=60)
+t = threading.Thread(target=hold)
+t.start()
+held.wait(timeout=60)
+other = fork(child)
+done.set()
+t.join()
+print(same, other, get())
+"""
+
+
+def test_a_forked_child_starts_outside_every_pin_region():
+    """A child forked inside a region, on its thread or on another, keeps
+    the count it inherited, and its own regions save and restore its own
+    count: the parent's region, never ending there, holds none of them."""
+    blas_threads()
+    assert fresh_python(FORKED_IN_A_PIN).split() == ["0", "0", "3"]
 
 
 # --- IDX bytes: scaled by data.normalize as they enter the network ---
