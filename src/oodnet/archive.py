@@ -94,8 +94,10 @@ def _decode(data: bytes) -> tuple[dict, dict]:
         end = offset + 4 * count
         if end > len(data):
             raise CorruptLength(f"blob {name} truncated")
-        # a view of data: the blob's bytes are not copied
-        blobs[name] = np.frombuffer(data, "<f4", count, offset).reshape(shape)
+        try:   # a view of data: the blob's bytes are not copied
+            blobs[name] = np.frombuffer(data, "<f4", count, offset).reshape(shape)
+        except ValueError as exc:   # a zero size, and the others' product past 2**63
+            raise CorruptLength(f"blob {name} shape {shape}: {exc}") from exc
         if not np.isfinite(blobs[name]).all():
             raise CorruptLength(f"blob {name} holds NaN or inf")
         offset = end

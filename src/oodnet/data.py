@@ -62,15 +62,6 @@ class LabeledDataset:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
-@dataclass(frozen=True)
-class MiniBatch:
-    images: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self):
-        return len(self.images)
-
-
 def parse_idx(data: bytes) -> np.ndarray:
     """Decode an IDX byte stream into a u8 image tensor or a label vector."""
     if len(data) < 4:
@@ -153,18 +144,21 @@ def split_classes(ds: LabeledDataset, keep, relabel: bool = False) -> LabeledDat
     return LabeledDataset(ds.images[mask], labels, mapping, ds.role)
 
 
-def make_batches(ds: LabeledDataset, m: int, seed: int = 0) -> Iterator[MiniBatch]:
-    """Partition one shuffled epoch of the dataset into batches of size m.
+def make_batches(ds: LabeledDataset, m: int, seed: int = 0) -> Iterator[LabeledDataset]:
+    """Partition one shuffled epoch of the dataset into batches of size m:
+    each batch is a LabeledDataset with ds's class_map and role.
 
-    The permutation is a pure function of the seed; the final batch may
-    be short. m is checked and the order drawn at the call; each batch is
-    copied out as it is drawn.
+    The order is ``np.arange(len(ds))`` shuffled by ``default_rng(seed)``;
+    batch k holds rows ``order[k*m:(k+1)*m]`` and the last may be short.
+    m is checked and the order drawn at the call; each batch is copied
+    out as it is drawn.
     """
     if m < 1:
         raise ValueError("batch size must be >= 1")
     order = np.arange(len(ds))
     np.random.default_rng(seed).shuffle(order)
-    return (MiniBatch(ds.images[order[i:i + m]], ds.labels[order[i:i + m]])
+    return (LabeledDataset(ds.images[order[i:i + m]], ds.labels[order[i:i + m]],
+                           ds.class_map, ds.role)
             for i in range(0, len(order), m))
 
 

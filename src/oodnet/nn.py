@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centerloss import center_loss, center_loss_grads, combine
-from .data import (ROLE_MAIN_TRAIN, LabeledDataset, MiniBatch, make_batches,
-                   normalize)
+from .data import ROLE_MAIN_TRAIN, LabeledDataset, make_batches, normalize
 from .errors import (DimMismatch, EmptyDataset, NonFiniteFeature,
                      NonFiniteLoss, ShapeMismatch, check_labels)
 
@@ -632,10 +631,11 @@ class EpochRecord:
     accuracy: float
 
 
-def loss_and_grads(model: Backbone, centers, batch: MiniBatch, lam: float, tape=None):
-    """One forward pass (recording into tape, if given), the batch-summed
-    combined loss (softmax cross-entropy plus lam times the centroid term)
-    and its unweighted gradients.
+def loss_and_grads(model: Backbone, centers, batch: LabeledDataset, lam: float, tape=None):
+    """One forward pass over a batch, itself a LabeledDataset (recording
+    into tape, if given), the batch-summed combined loss (softmax
+    cross-entropy plus lam times the centroid term) and its unweighted
+    gradients.
 
     -> (loss, logits, dlogits, dfeatures, center deltas); the last two are
     None when lam is 0, and centers is then not read.
@@ -702,7 +702,7 @@ def train(model: Backbone, centers, ds: LabeledDataset,
 # gradient verification
 
 
-def grad_check(model: Backbone, batch: MiniBatch, eps: float = 1e-5,
+def grad_check(model: Backbone, batch: LabeledDataset, eps: float = 1e-5,
                lam: float = 0.0, centers=None, n_samples: int = 200,
                seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodnet import Backbone, Centers, synth_blobs
-from oodnet.data import MiniBatch
+from oodnet.data import LabeledDataset
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def f64_setup(n_classes=3, side=12, batch=4, seed=0):
     model = Backbone(n_classes, input_side=side, seed=seed).astype(np.float64)
     centers = Centers(n_classes, model.feature_dim, seed=seed)
     centers.values = centers.values.astype(np.float64)
-    mb = MiniBatch(ds.images[:batch].astype(np.float64), ds.labels[:batch])
+    mb = LabeledDataset(ds.images[:batch].astype(np.float64), ds.labels[:batch])
     return model, centers, mb
 
 

@@ -15,16 +15,18 @@ DECLARED = [{"name": "throughput_samples_per_s", "unit": "samples/s",
              "bound": 0.25}]
 
 # a benchmark that logs its checkout and seed and reports the checkout's
-# throughput (VALUE) and latency (100 / VALUE)
+# throughput (VALUE times the seed's entry of SCALE) and latency (100 over
+# that throughput)
 FAKE_RUN = """import json, sys
 from pathlib import Path
 seed = sys.argv[sys.argv.index("--seed") + 1]
 with open(LOG, "a") as fh:
     fh.write(f"{NAME} {seed}\\n")
+value = VALUE * SCALE[int(seed) % len(SCALE)]
 print("some report line")
 print(json.dumps({"correct": True, "attempted": 3, "failed": FAILED,
-                  "metrics": {"throughput_samples_per_s": {"value": VALUE, "unit": "samples/s"},
-                              "latency_mean_ms": {"value": 100 / VALUE, "unit": "ms"}}}))
+                  "metrics": {"throughput_samples_per_s": {"value": value, "unit": "samples/s"},
+                              "latency_mean_ms": {"value": 100 / value, "unit": "ms"}}}))
 """
 
 
@@ -36,11 +38,13 @@ def bench_pairs():
     return module
 
 
-def checkout(root: Path, name: str, value: float, failed: int, log: Path) -> Path:
+def checkout(root: Path, name: str, value: float, failed: int, log: Path,
+             scale=(1.0,)) -> Path:
     (root / name / "perfbench").mkdir(parents=True)
     (root / name / "perfbench" / "run.py").write_text(
         FAKE_RUN.replace("LOG", repr(str(log))).replace("NAME", repr(name))
-        .replace("VALUE", repr(value)).replace("FAILED", str(failed)))
+        .replace("VALUE", repr(value)).replace("FAILED", str(failed))
+        .replace("SCALE", repr(list(scale))))
     (root / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
     return root / name
 
@@ -115,3 +119,35 @@ def test_a_gain_within_the_parent_iqr_is_no_claim(bench_pairs):
         DECLARED)
     assert throughput["wins"] == 4
     assert not throughput["better_beyond_iqr"] and not throughput["claim_holds"]
+
+
+WIDE = (0.4, 0.8, 1.2, 1.6)   # parent IQR 60% of its median: past the 25% bound
+NARROW = (0.99, 1.0, 1.01, 1.0)
+
+
+# the table's last four columns: wins, better beyond the parent IQR,
+# claim holds, worse than bound
+@pytest.mark.parametrize("parent_scale,change_value,change_scale,tail", [
+    pytest.param(WIDE, 100.0, WIDE, "| 0/4 | no | no | unresolved |",
+                 id="wide-spread"),
+    # every change run beats every parent run, on both metrics
+    pytest.param(WIDE, 500.0, WIDE, "| 4/4 | yes | yes | no |",
+                 id="wide-spread-all-better"),
+    pytest.param(NARROW, 100.0, NARROW, "| 0/4 | no | no | no |",
+                 id="narrow-spread"),
+])
+def test_a_spread_wider_than_the_bound_leaves_a_metric_unresolved(
+        bench_pairs, tmp_path, capsys, parent_scale, change_value,
+        change_scale, tail):
+    log = tmp_path / "log"
+    parent = checkout(tmp_path, "parent", 100.0, 0, log, parent_scale)
+    change = checkout(tmp_path, "change", change_value, 0, log, change_scale)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--pairs", "4", "--seconds", "1", "--seed0", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for name in ("throughput", "latency"):
+        row = next(line for line in out if name in line)
+        assert row.endswith(tail)
+    rows = json.loads(out[-1])["rows"]
+    assert [row["unresolved"] for row in rows] == ["unresolved" in tail] * 2
+    assert not any(row["worse_than_bound"] for row in rows)

@@ -90,6 +90,10 @@ ARCHIVE_FAULTS = [
     pytest.param(cut_detector_to_one_class, ShapeMismatch,
                  id="detector-cut-to-one-class"),
     pytest.param(list_clf_b_twice, CorruptLength, id="blob-listed-twice"),
+    # no values, but a shape of more than 2**63 bytes: numpy cannot make it
+    pytest.param(edit_header(lambda h: h["blobs"][0].update(
+        shape=[0, 1_518_494_220, 1_518_506_280])), CorruptLength,
+        id="empty-blob-past-int64"),
 ]
 
 

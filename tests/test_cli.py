@@ -635,6 +635,43 @@ class TestNoAnomalySource:
         assert not (tmp_path / "out").exists()
 
 
+class TestNoAnomalyTrainImages:
+    """An anomaly source whose train split holds no images: the sweep runs
+    without the supervised head, and train-head has nothing to train on."""
+    def config(self, tmp_path) -> dict:
+        raw = synth_config(tmp_path, epochs=1)
+        test = synth_blobs(2, 30, side=12, separation=2.5, seed=7,
+                           layout_seed=99)
+        files = {"train_images": np.zeros((0, 12, 12), dtype=np.uint8),
+                 "train_labels": np.zeros(0, dtype=np.uint8),
+                 "test_images": (test.images * 255).astype(np.uint8),
+                 "test_labels": test.labels.astype(np.uint8)}
+        for name, array in files.items():
+            (tmp_path / name).write_bytes(serialize_idx(array))
+        raw["data"]["anomaly"] = {
+            "idx": {name: str(tmp_path / name) for name in files}}
+        return raw
+
+    def test_run_experiment_skips_the_head_and_train_head_exits_1(
+            self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, self.config(tmp_path))
+        assert main(["run-experiment", "--config", cfg_path]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.csv", "metrics_median.csv", "model_lam0_seed0.oodn",
+            "proj_lam0_seed0.csv", "roc_semi_lam0_seed0.csv"]
+        methods = [line.split(",")[2] for line in
+                   (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert methods == ["classification", "semi-supervised"]
+        archive = out / "model_lam0_seed0.oodn"
+        assert load_model(archive).head is None
+        before = archive.read_bytes()
+        capsys.readouterr()
+        assert main(["train-head", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err.startswith("error [train-head]: ")
+        assert archive.read_bytes() == before
+
+
 def test_run_experiment_takes_no_model(tmp_path):
     cfg_path = write_config(tmp_path, synth_config(tmp_path))
     with pytest.raises(SystemExit) as info:

@@ -7,8 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import nearest_mean_accuracy
-from oodnet import (LabeledDataset, make_batches, normalize, parse_idx,
-                    serialize_idx, split_classes, synth_blobs)
+from oodnet import (Backbone, Centers, LabeledDataset, TrainConfig,
+                    make_batches, normalize, parse_idx, serialize_idx,
+                    split_classes, synth_blobs, train_epoch)
 from oodnet.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, ROLE_MAIN_TEST,
                          _class_layout, load_idx_dataset, load_idx_file)
 from oodnet.errors import (DimMismatch, EmptySplit, OodnetError,
@@ -182,6 +183,35 @@ class TestMakeBatches:
         got = np.concatenate([b.images for b in batches])
         assert sorted(map(tuple, got.reshape(len(got), -1))) == \
             sorted(map(tuple, ds.images.reshape(len(ds), -1)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_each_batch_is_a_read_only_dataset_copied_out_of_ds(self, dtype):
+        rng = np.random.default_rng(3)
+        pixels = rng.integers(0, 256, (100, 12, 12)) if dtype == np.uint8 \
+            else rng.random((100, 12, 12))
+        ds = LabeledDataset(pixels.astype(dtype), np.arange(100) % 4,
+                            {c + 5: c for c in range(4)})
+        images, labels = ds.images.copy(), ds.labels.copy()
+        order = np.arange(100)   # the order make_batches documents
+        np.random.default_rng(9).shuffle(order)
+        batches = list(make_batches(ds, 32, seed=9))
+        assert [len(b) for b in batches] == [32, 32, 32, 4]
+        for i, batch in zip(range(0, 100, 32), batches):
+            assert isinstance(batch, LabeledDataset)
+            for got, source in ((batch.images, ds.images),
+                                (batch.labels, ds.labels)):
+                want = source[order[i:i + 32]]
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+                assert not np.shares_memory(got, source)
+            assert (batch.role, batch.class_map) == (ds.role, ds.class_map)
+        assert ds.images.tobytes() == images.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
+        record = train_epoch(Backbone(4, input_side=12, seed=0),
+                             Centers(4, 84, seed=0), batches[0],
+                             TrainConfig(batch_size=8, lam=0.1))
+        assert np.isfinite(record.loss) and 0 <= record.accuracy <= 1
 
 
 def test_an_idx_split_and_its_batches_stay_bytes(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from oodnet import data, evalkit, nn
 from oodnet.centerloss import Centers, center_loss
-from oodnet.data import ROLE_MAIN_TEST, LabeledDataset, MiniBatch
+from oodnet.data import ROLE_MAIN_TEST, LabeledDataset
 from oodnet.errors import DimMismatch
 
 IMAGES = np.zeros((2, 12, 12), dtype=np.float32)
@@ -31,7 +31,7 @@ GUARDS = {
         nn.Backbone(2, input_side=12), Centers(2, 84),
         LabeledDataset(IMAGES, LABELS, role=ROLE_MAIN_TEST), nn.TrainConfig())),
     "grad-check-float32": (ValueError, lambda: nn.grad_check(
-        nn.Backbone(2, input_side=12), MiniBatch(IMAGES, LABELS))),
+        nn.Backbone(2, input_side=12), LabeledDataset(IMAGES, LABELS))),
 }
 
 

@@ -14,7 +14,7 @@ from conftest import f64_setup, nearest_mean_accuracy
 from test_detector import fresh_python
 from oodnet import (Backbone, Centers, TrainConfig, embed, extract_features,
                     grad_check, softmax_xent, synth_blobs, train, train_epoch)
-from oodnet.data import LabeledDataset, MiniBatch, normalize
+from oodnet.data import LabeledDataset, normalize
 from oodnet.errors import (EmptyDataset, LabelOutOfRange, NonFiniteLoss,
                            ShapeMismatch)
 from oodnet import nn
@@ -314,8 +314,8 @@ class TestGradCheck:
 
     def test_duplicated_batch_passes(self):
         model, centers, batch = f64_setup(batch=1)
-        dup = MiniBatch(np.repeat(batch.images, 3, axis=0),
-                        np.repeat(batch.labels, 3))
+        dup = LabeledDataset(np.repeat(batch.images, 3, axis=0),
+                             np.repeat(batch.labels, 3))
         err = grad_check(model, dup, eps=1e-5, n_samples=100)
         assert err <= 1e-6
 
@@ -1038,8 +1038,8 @@ class TestByteImages:
         for got, want in zip(model.forward(raw), model.forward(pixels), strict=True):
             np.testing.assert_array_equal(got, want)
         labels = np.array([0, 1, 2, 0, 1])
-        assert grad_check(model, MiniBatch(raw, labels), n_samples=20) \
-            == grad_check(model, MiniBatch(pixels, labels), n_samples=20)
+        assert grad_check(model, LabeledDataset(raw, labels), n_samples=20) \
+            == grad_check(model, LabeledDataset(pixels, labels), n_samples=20)
 
     def test_training_on_bytes_moves_every_parameter_as_on_their_pixels(self):
         raw = (synth_blobs(3, 30, side=12, seed=1).images * 255).astype(np.uint8)

@@ -18,8 +18,13 @@ the parent's by more than the parent's interquartile range, whether a
 gain may be claimed (the change wins at least ceil(0.9 * pairs) pairs
 and is better by more than that range), and whether the change's
 median is worse than the parent's by more than the metric's bound.
-Then it prints the `failed` total of each side and, as the last line,
-one JSON object with every run's values. Exit code 1 when a run printed no JSON summary.
+That last column reads ``unresolved`` instead of ``no`` when the
+parent's interquartile range is wider than the bound (relative to its
+median) and not every change run beats every parent run: a spread that
+wide could hide a loss the size of the bound. Then it prints the
+`failed` total of each side and, as the last line, one JSON object with
+every run's values and the summary rows. Exit code 1 when a run printed
+no JSON summary.
 """
 from __future__ import annotations
 
@@ -63,7 +68,9 @@ def summarize(runs: dict, declared: list[dict]) -> list[dict]:
         parent, change = q["parent"][1], q["change"][1]
         gain = sign * (values["change"] - values["parent"])
         wins = int((gain > 0).sum())
-        better = sign * (change - parent) > q["parent"][2] - q["parent"][0]
+        spread = q["parent"][2] - q["parent"][0]
+        better = bool(sign * (change - parent) > spread)
+        beats_all = (sign * values["change"]).min() > (sign * values["parent"]).max()
         rows.append({
             "metric": name, "unit": metric["unit"], "better": metric["better"],
             "parent": q["parent"].tolist(), "change": q["change"].tolist(),
@@ -71,7 +78,10 @@ def summarize(runs: dict, declared: list[dict]) -> list[dict]:
             "wins": wins, "pairs": len(gain),
             "better_beyond_iqr": better,
             "claim_holds": better and wins >= math.ceil(0.9 * len(gain)),
-            "worse_than_bound": sign * (change - parent) < -metric["bound"] * abs(parent),
+            "worse_than_bound": bool(sign * (change - parent)
+                                     < -metric["bound"] * abs(parent)),
+            "unresolved": bool(spread > metric["bound"] * abs(parent)
+                               and not beats_all),
         })
     return rows
 
@@ -85,12 +95,14 @@ def table(rows: list[dict]) -> list[str]:
            "claim holds | worse than bound |",
            "|---|---|---|---|---|---|---|---|"]
     for r in rows:
+        worse = ("YES" if r["worse_than_bound"] else
+                 "unresolved" if r["unresolved"] else "no")
         out.append(f"| `{r['metric']}` ({r['unit']}, {r['better']} is better) | "
                    f"{quartiles(r['parent'])} | {quartiles(r['change'])} | "
                    f"{r['ratio']:.3f} | {r['wins']}/{r['pairs']} | "
                    f"{'yes' if r['better_beyond_iqr'] else 'no'} | "
                    f"{'yes' if r['claim_holds'] else 'no'} | "
-                   f"{'YES' if r['worse_than_bound'] else 'no'} |")
+                   f"{worse} |")
     return out
 
 
@@ -122,12 +134,13 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} alternating pairs of {args.seconds:g} s "
           f"runs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}")
-    print("\n".join(table(summarize(runs, declared))))
+    rows = summarize(runs, declared)
+    print("\n".join(table(rows)))
     for side in SIDES:
         print(f"{side} failed: {sum(r['failed'] for r in runs[side])} "
               f"over {args.pairs} runs")
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                      "runs": runs}))
+                      "runs": runs, "rows": rows}))
     return 0
 
 
