@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centerloss import Centers
-from .detector import DetectorModel, check_class_count
+from .detector import DetectorModel, check_class_count, check_percentile
 from .errors import (BadMagic, CorruptLength, VersionMismatch, json_field,
                      json_list, parse_json)
 from .evalkit import replacing
@@ -131,7 +131,8 @@ def load_model(path) -> ModelState:
         state.detector = DetectorModel.from_stored(
             json_field(header, "detector", dict, "header"), blobs, n, d)
     if json_field(header, "has_head", bool, "header"):
-        head = OodHead(d, tau=json_field(header, "head_tau", float, "header"))
+        tau = json_field(header, "head_tau", float, "header")
+        head = OodHead(d, tau=check_percentile(tau, CorruptLength, "header.head_tau"))
         head.load_state(blobs)
         state.head = head
     return state

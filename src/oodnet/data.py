@@ -42,6 +42,8 @@ class LabeledDataset:
     def __post_init__(self):
         if self.images.ndim != 3:
             raise ShapeMismatch(f"images must be (M, H, W), got shape {self.images.shape}")
+        if self.labels.ndim != 1:
+            raise ShapeMismatch(f"labels must be (M,), got shape {self.labels.shape}")
         if len(self.images) != len(self.labels):
             raise DimMismatch(f"{len(self.images)} images, {len(self.labels)} labels")
         if self.role not in _ROLES:

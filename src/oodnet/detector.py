@@ -19,8 +19,9 @@ DEFAULT_PERCENTILE = 0.975
 
 
 def check_percentile(value, error: type, where: str = "percentile"):
-    """value, which must be a percentile in (0, 1]: the one rule of the
-    detector, its stored form and the config, each raising its own error."""
+    """value, which must be a fraction in (0, 1]: the one rule of the
+    detector's percentile and the head's tau, in the config and in an
+    archive, each raising its own error."""
     if not 0 < value <= 1:
         raise error(f"{where} {value} not in (0, 1]")
     return value

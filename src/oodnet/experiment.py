@@ -118,7 +118,8 @@ class RunConfig:
                      if "anomaly" in data else None),
             **{key: float(_value(raw[key], float, key))
                for key in ("percentile", "tau") if key in raw})
-        check_percentile(cfg.percentile, ConfigError)
+        for key in ("percentile", "tau"):
+            check_percentile(getattr(cfg, key), ConfigError, key)
         keep = cfg.main.keep_classes and sorted(set(cfg.main.keep_classes))
         if keep and not cfg.main.relabel and keep != list(range(len(keep))):
             # the main labels index the classes: a gap leaves one empty

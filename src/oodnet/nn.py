@@ -428,8 +428,6 @@ class Backbone(LayerStack):
 # 8 runs, against 293 ms at 256.
 SLICE_ROWS = 32
 _pool = None
-_busy = threading.Lock()       # held by the one call that runs on the pool
-_inside = threading.local()    # .pooled: this thread drains a pooled call
 
 
 @functools.cache
@@ -458,8 +456,8 @@ def _blas_threads():
 
 class _Pin:
     """The open regions that hold numpy's OpenBLAS at one thread, and the
-    count the first of them found. ``lock`` guards both and every write of
-    the count."""
+    count the first of them found. ``lock`` guards both, every write of
+    the count and the creation of _map_rows's pool."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -499,12 +497,11 @@ def _one_blas_thread():
 
 def _forget_pool():
     """A forked child has none of its parent's threads: a slice given to
-    the inherited pool would never run (nor be freed), and a _busy held
-    by a parent thread would never be released. Likewise a pin region open
-    at the fork may never end in the child: the child starts with none,
-    at the BLAS thread count it inherited."""
-    global _pool, _busy, _pin
-    _pool, _busy, _pin = None, threading.Lock(), _Pin()
+    the inherited pool would never run (nor be freed). Likewise a pin
+    region open at the fork may never end in the child: the child starts
+    with none, at the BLAS thread count it inherited."""
+    global _pool, _pin
+    _pool, _pin = None, _Pin()
 
 
 if hasattr(os, "register_at_fork"):   # absent where there is no fork
@@ -519,39 +516,36 @@ def _map_rows(fn, rows) -> list:
     and numpy's OpenBLAS thread setter, the calling thread and the pool's
     threads, one per CPU in all, take them in turn, with OpenBLAS at 1
     thread (BLAS threads on top of them only oversubscribe the CPUs);
-    otherwise they run inline. One call at a time runs on the pool: a call
-    from another thread waits for it, and a call made inside fn runs
-    inline on the thread that made it. Once fn raises on the calling
-    thread, no further slice is started. fn must compute every output row
-    from its own input row alone: then no split changes a bit."""
+    otherwise they run inline. Each caller drains its own slices and
+    cancels every helper that has not started, so calls from several
+    threads, or from inside fn, share the pool: a caller waits only on
+    helpers running its own slices. Once fn raises on the calling thread,
+    no further slice is started. fn must compute every output row from
+    its own input row alone: then no split changes a bit."""
     global _pool
     workers = _cpus()
     step = min(-(-len(rows) // workers), SLICE_ROWS) or 1
     starts = range(0, len(rows) or 1, step)
-    if (len(rows) < 2 or workers < 2 or _blas_threads() is None
-            or getattr(_inside, "pooled", False)):
+    if len(rows) < 2 or workers < 2 or _blas_threads() is None:
         return [fn(rows[s:s + step]) for s in starts]
     jobs = iter(starts)
     take = threading.Lock()
     out = {}
 
     def drain():
-        _inside.pooled = True
-        try:
-            while True:
-                with take:
-                    s = next(jobs, None)
-                if s is None:
-                    return
-                out[s] = fn(rows[s:s + step])
-        finally:
-            _inside.pooled = False
+        while True:
+            with take:
+                s = next(jobs, None)
+            if s is None:
+                return
+            out[s] = fn(rows[s:s + step])
 
-    with _busy, _one_blas_thread():
-        if _pool is None:
-            # imported on first use: it adds ~6 ms to every import of oodnet
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(workers - 1)
+    with _one_blas_thread():
+        with _pin.lock:
+            if _pool is None:
+                # imported on first use: it adds ~6 ms to every import of oodnet
+                from concurrent.futures import ThreadPoolExecutor
+                _pool = ThreadPoolExecutor(workers - 1)
         helpers = [_pool.submit(drain) for _ in range(workers - 1)]
         try:
             drain()
@@ -559,8 +553,7 @@ def _map_rows(fn, rows) -> list:
             with take:   # the caller is done, or fn raised: hand out no more
                 jobs = iter(())
             # a helper that has not started would find no job left: it
-            # need not run, so a caller that is itself a pool thread
-            # never waits on a pool whose threads all wait. Every helper
+            # need not run, so no caller waits on a busy pool. Every helper
             # that has started ends before any error of theirs is raised.
             started = [h for h in helpers if not h.cancel()]
             for helper in started:

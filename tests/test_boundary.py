@@ -172,6 +172,7 @@ BAD_HEADER_VALUES = [
     ("arch.n_classes", str(10**13)), ("arch.feature_dim", "85"),
     ("arch.input_side", "16"),
     ("detector.percentile", "0"), ("detector.percentile", "1.5"),
+    ("head_tau", "0"), ("head_tau", "1.5"),
 ]
 
 
@@ -371,6 +372,9 @@ CONFIG_FAULTS = [
     ("data.main.synthetic.side", 0),
     ("data.main.synthetic.seed", -1),
     ("data.main.synthetic.layout_seed", -1),
+    # tau outside (0, 1], the percentile's range
+    ("tau", 1.5),
+    ("tau", 0),
 ]
 
 
@@ -624,6 +628,10 @@ def labels_as_images(files, source):
     source["idx"]["train_images"] = source["idx"]["train_labels"]
 
 
+def images_as_labels(files, source):
+    source["idx"]["train_labels"] = source["idx"]["train_images"]
+
+
 def one_class_after_relabel(files, source):
     source.update(keep_classes=[1], relabel=True)
 
@@ -633,6 +641,7 @@ def label_out_of_range(files, source):
 
 
 IDX_FAULTS = [(fault, command) for fault in (labels_one_short, labels_as_images,
+                                             images_as_labels,
                                              one_class_after_relabel)
               for command in ("train", "run-experiment")] \
     + [(label_out_of_range, "run-experiment")]
@@ -661,6 +670,20 @@ def test_a_split_the_command_does_not_use_is_not_read(tmp_path, command,
     path = tmp_path / "m.oodn"
     save_model(path, full_state())
     assert main([command, "--config", cfg_path, "--model", str(path)]) == 0
+
+
+def test_export_features_of_images_named_as_labels_exits_1_writing_nothing(
+        tmp_path, capsys):
+    def images_as_test_labels(files, source):
+        source["idx"]["test_labels"] = source["idx"]["test_images"]
+
+    cfg_path = idx_config(tmp_path, images_as_test_labels)
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    assert main(["export-features", "--config", cfg_path,
+                 "--model", str(path)]) == 1
+    assert "error [export-features]: labels" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "features.csv").exists()
 
 
 def test_score_of_unrepresentable_idx_dims_exits_1(tmp_path, capsys):

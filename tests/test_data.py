@@ -305,6 +305,12 @@ class TestLabeledDatasetChecks:
             LabeledDataset(np.zeros((3, 4, 4), dtype=np.float32),
                            np.zeros(2, dtype=np.int64))
 
+    def test_labels_not_rank_1_is_shape_mismatch(self):
+        """An images array given as labels, even with one label per image."""
+        with pytest.raises(ShapeMismatch, match="labels"):
+            LabeledDataset(np.zeros((3, 4, 4), dtype=np.float32),
+                           np.zeros((3, 4, 4), dtype=np.int64))
+
     def test_images_not_rank_3_is_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             LabeledDataset(np.zeros(3, dtype=np.float32),

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -634,49 +635,49 @@ class TestMapRows:
 
     def test_the_blas_thread_count_changes_only_under_the_pool_lock(
             self, model28, monkeypatch):
-        """Every write to OpenBLAS's thread count holds nn._busy: a write
-        without it could restore the count while another call runs on the
-        pool, or leave it at 1 thread after the last."""
+        """Every write to OpenBLAS's thread count holds nn._pin.lock: a
+        write without it could restore the count while another call runs
+        on the pool, or leave it at 1 thread after the last."""
         get, put = blas_threads()
         if nn._cpus() < 2:   # take the pooled path on one CPU too
             monkeypatch.setattr(nn, "_cpus", lambda: 2)
         writes = []
 
         def guarded(n):
-            assert nn._busy.locked(), f"BLAS thread count set to {n} unlocked"
+            assert nn._pin.lock.locked(), f"BLAS thread count set to {n} unlocked"
             writes.append(n)
             put(n)
 
         monkeypatch.setattr(nn, "_blas_threads", lambda: (get, guarded))
         _map_rows(lambda rows: rows, np.arange(8))
         embed(model28, images28(40))
-        assert len(writes) == 4 and not nn._busy.locked()
+        assert len(writes) == 4 and not nn._pin.lock.locked()
 
-    def test_a_call_inside_fn_runs_inline_on_its_thread(self, model28,
-                                                       monkeypatch):
+    def test_a_call_nested_in_fn_gives_the_same_bits(self, model28,
+                                                    monkeypatch):
         """A _map_rows call made inside a pooled call's fn, on the caller
-        and on a helper, runs every slice on the thread that made it, with
-        the same bits, and never waits on the pool."""
+        and on a helper, gives the same bits and never waits on the pool:
+        it drains its own slices, with any pool thread that is free."""
         blas_threads()
         if nn._cpus() < 2:   # take the pooled path on one CPU too
             monkeypatch.setattr(nn, "_cpus", lambda: 2)
         images = images28(64, seed=4)
         want = model28.forward(images)
         caller, helped = [], threading.Event()
-        nested = []   # (thread of an outer slice, threads of its inner ones)
+        nested = []   # the thread of each outer slice
 
         def forward(part):
             time.sleep(0.02)   # long enough that an idle pool thread joins in
-            return threading.get_ident(), model28.forward(part)
+            return model28.forward(part)
 
         def outer(part):
             me = threading.get_ident()
             if me == caller[0]:   # nest once a helper is done nesting
                 helped.wait(timeout=30)
             inner = _map_rows(forward, part)
-            nested.append((me, {t for t, _ in inner}))
+            nested.append(me)
             helped.set()
-            return [out for _, out in inner]
+            return inner
 
         got = []
 
@@ -688,10 +689,7 @@ class TestMapRows:
         t.start()
         t.join(timeout=60)
         assert not t.is_alive(), "a call inside fn waited on the pool"
-        outer_threads = {me for me, _ in nested}
-        assert caller[0] in outer_threads and len(outer_threads) > 1
-        for me, inner in nested:
-            assert inner == {me}
+        assert caller[0] in nested and len(set(nested)) > 1
         feats, logits = zip(*(out for part in got[0] for out in part))
         np.testing.assert_array_equal(np.concatenate(feats), want[0])
         np.testing.assert_array_equal(np.concatenate(logits), want[1])
@@ -718,8 +716,8 @@ class TestMapRows:
 
     def test_an_error_on_a_helper_is_raised_once_every_helper_is_done(
             self, monkeypatch):
-        """The call that runs on the pool ends, and lets the next one in,
-        only when no slice of it still runs."""
+        """A call raises a helper's error only when no slice of it still
+        runs."""
         blas_threads()
         monkeypatch.setattr(nn, "_cpus", lambda: 3)   # two helper threads,
         monkeypatch.setattr(nn, "_pool", None)        # on a pool of their own
@@ -748,15 +746,14 @@ class TestMapRows:
             with pytest.raises(ValueError):
                 _map_rows(fn, np.arange(3))
             assert len(taken) == 2 and not running
-            assert not nn._busy.locked()
         finally:
             nn._pool.shutdown()
 
     def test_overlapping_regions_keep_one_blas_thread_and_restore_it(
             self, model28):
-        """More callers than CPUs, with a short switch interval, serialise
-        on nn._busy: every slice of every call sees OpenBLAS at 1 thread,
-        and the count set before the calls is restored after the last."""
+        """More callers than CPUs, with a short switch interval, share the
+        pool: every slice of every call sees OpenBLAS at 1 thread, and the
+        count set before the calls is restored after the last."""
         get, put = blas_threads()
         before = get()
         images = images28(600, seed=1)
@@ -822,6 +819,26 @@ class TestMapRows:
         for call in calls:
             np.testing.assert_array_equal(
                 np.concatenate(call.result(timeout=60)), rows * 2)
+
+    def test_calls_from_two_threads_share_the_pool_at_once(self, monkeypatch):
+        """Neither call waits for the other to end: the first slice of each
+        waits until the other's has begun, and both return their rows in
+        order."""
+        if nn._cpus() < 2:   # take the pooled path on one CPU too
+            monkeypatch.setattr(nn, "_cpus", lambda: 2)
+        both = threading.Barrier(2, timeout=5)
+
+        def fn(part):
+            if part[0] == 0:   # the first slice of its call
+                both.wait()
+            return part * 2
+
+        rows = np.arange(40)
+        with ThreadPoolExecutor(2) as callers:
+            calls = [callers.submit(_map_rows, fn, rows) for _ in range(2)]
+            for call in calls:
+                np.testing.assert_array_equal(
+                    np.concatenate(call.result(timeout=60)), rows * 2)
 
 
 # --- training on one BLAS thread (nn._one_blas_thread) ---
