@@ -1,10 +1,10 @@
 """Distance-based anomaly detector: per-class Gaussian fits over deep
 features, percentile thresholds, and the any-class acceptance criterion.
 
-Each class keeps a whitening map L^-1 from the Cholesky factor L of its
-regularized covariance, so its Mahalanobis distance is |L^-1 (x - mu)|.
-The detector stacks every class's map into one (d, n*d) matrix and
-scores all classes of a row with one product of that row alone."""
+Each class keeps the Cholesky factor L of its regularized covariance, so
+its Mahalanobis distance is |L^-1 (x - mu)|. The detector stacks every
+class's whitening map L^-1 into one (d, n*d) matrix and scores all
+classes of a row with one product of that row alone."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -42,14 +42,13 @@ def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClassStats:
-    """Gaussian fit of one class: mean, covariance, the lower Cholesky
-    factor L of the regularized covariance and its whitening map L^-1."""
+    """Gaussian fit of one class: mean, covariance and the lower Cholesky
+    factor L of the regularized covariance."""
     mean: np.ndarray
     cov: np.ndarray
     count: int
     epsilon: float
     _factor: np.ndarray = None
-    whiten: np.ndarray = None
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "ClassStats":
@@ -72,9 +71,7 @@ class ClassStats:
             raise FactorizationFailure(str(exc)) from exc
         if not np.isfinite(factor).all():   # numpy passes NaN and inf through
             raise FactorizationFailure("covariance holds NaN or inf")
-        whiten = np.tril(np.linalg.inv(factor))
-        return cls(mean=mean, cov=cov, count=count, epsilon=eps,
-                   _factor=factor, whiten=whiten)
+        return cls(mean=mean, cov=cov, count=count, epsilon=eps, _factor=factor)
 
     def mahalanobis(self, x: np.ndarray) -> float:
         """sqrt((x - mu)^T (S + eps I)^{-1} (x - mu)) via the stored factor."""
@@ -96,8 +93,13 @@ def fit_stats(features: np.ndarray, labels: np.ndarray) -> list[ClassStats]:
     features = np.asarray(features, dtype=np.float64)
     if not len(labels):
         raise DegenerateClass("no samples to fit")
-    n = int(labels.max()) + 1
-    return [ClassStats.fit(features[labels == j]) for j in range(n)]
+    stats = []
+    for j in range(int(labels.max()) + 1):
+        try:
+            stats.append(ClassStats.fit(features[labels == j]))
+        except DegenerateClass as exc:
+            raise DegenerateClass(f"class {j}: {exc}") from None
+    return stats
 
 
 class DetectorModel:
@@ -111,10 +113,11 @@ class DetectorModel:
         self._stack_maps()
 
     def _stack_maps(self):
-        """Stack the classes' whitening maps into one (d, n*d) matrix and
-        their offsets L^-1 mu into one (n*d,) vector."""
+        """Stack the classes' whitening maps L^-1 into one (d, n*d) matrix
+        and their offsets L^-1 mu into one (n*d,) vector."""
         d = len(self.stats[0].mean)
-        self._maps = np.concatenate([s.whiten.T for s in self.stats], axis=1)
+        self._maps = np.concatenate(
+            [np.tril(np.linalg.inv(s._factor)).T for s in self.stats], axis=1)
         # the offsets go through the same product as the features, so a
         # feature equal to a class mean is at distance 0.0 exactly
         projected = self._whiten_rows(np.stack([s.mean for s in self.stats]))

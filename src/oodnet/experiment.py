@@ -15,7 +15,7 @@ from .archive import ModelState, save_model
 from .centerloss import Centers
 from .detector import (DEFAULT_PERCENTILE, DetectorModel, check_percentile,
                        fit_stats)
-from .errors import ConfigError, json_list, json_value
+from .errors import ConfigError, DegenerateClass, json_list, json_value
 from .evalkit import (confusion, f1, pca2, roc, write_median_csv,
                       write_metrics_csv, write_projection_csv, write_roc_csv)
 from .head import HeadTrainConfig, OodHead, train_head_on_features
@@ -156,7 +156,8 @@ class RunConfig:
 
 def _load_split(spec: SourceSpec | None, split: str, anomaly: bool):
     """Split "train" or "test" of a source, in the anomaly role for an anomaly
-    source. No source (a config without data.anomaly) is a ConfigError."""
+    source. No source (a config without data.anomaly) is a ConfigError, and
+    a main train split with no sample of a class in 0..max DegenerateClass."""
     if spec is None:
         raise ConfigError("data: missing 'anomaly' source")
     role = (datamod.ROLE_ANOMALY if anomaly else datamod.ROLE_MAIN_TRAIN
@@ -172,6 +173,10 @@ def _load_split(spec: SourceSpec | None, split: str, anomaly: bool):
             role=role, layout_seed=s.layout_seed)
     if spec.keep_classes is not None:
         ds = datamod.split_classes(ds, spec.keep_classes, spec.relabel)
+    if role == datamod.ROLE_MAIN_TRAIN:   # its labels index the classes
+        empty = np.flatnonzero(np.bincount(ds.labels) == 0).tolist()
+        if empty:
+            raise DegenerateClass(f"data.main train split: no samples of classes {empty}")
     return ds
 
 

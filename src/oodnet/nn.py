@@ -18,8 +18,8 @@ convolution output from its own patch row, a pooled value from its own
 window, a dense output from its own input vector, whatever the block or
 batch size around it. For the same reason batched inference (``embed``,
 the head's ``forward_many`` and the detector's ``distances_many``) runs
-its row slices on every usable CPU (``_map_rows``) and still gives the
-same bits.
+its row slices on every usable CPU, on helper threads that each call
+starts and joins (``_map_rows``), and still gives the same bits.
 No layer keeps state, gradients included: ``forward(x)`` returns
 ``(out, saved)``, and ``backward(grad, saved)`` reads only its arguments
 and returns ``(input gradient, parameter gradients)``. ReLU overwrites
@@ -420,14 +420,13 @@ class Backbone(LayerStack):
 # ---------------------------------------------------------------------------
 # batched inference on every usable CPU
 
-# Most rows in one slice of _map_rows. Each pool thread allocates from a
+# Most rows in one slice of _map_rows. Each helper thread allocates from a
 # malloc arena of its own, which keeps about one slice's working set for
 # the next: slices of 128 images raised score-stream's peak memory by
 # ~7 MB, at no measurable gain in speed. Inline, pinned to one CPU of a
 # Xeon, 32-row slices embedded 2000 28x28 images in a median 255 ms over
 # 8 runs, against 293 ms at 256.
 SLICE_ROWS = 32
-_pool = None
 
 
 @functools.cache
@@ -456,8 +455,8 @@ def _blas_threads():
 
 class _Pin:
     """The open regions that hold numpy's OpenBLAS at one thread, and the
-    count the first of them found. ``lock`` guards both, every write of
-    the count and the creation of _map_rows's pool."""
+    count the first of them found. ``lock`` guards both and every write of
+    the count."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -495,17 +494,14 @@ def _one_blas_thread():
                     put(pin.saved)
 
 
-def _forget_pool():
-    """A forked child has none of its parent's threads: a slice given to
-    the inherited pool would never run (nor be freed). Likewise a pin
-    region open at the fork may never end in the child: the child starts
-    with none, at the BLAS thread count it inherited."""
-    global _pool, _pin
-    _pool, _pin = None, _Pin()
+def _reset_pin():
+    """A forked child starts in no region, at the BLAS count it inherited."""
+    global _pin
+    _pin = _Pin()
 
 
 if hasattr(os, "register_at_fork"):   # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_reset_pin)
 
 
 def _map_rows(fn, rows) -> list:
@@ -513,16 +509,13 @@ def _map_rows(fn, rows) -> list:
 
     Slices have ceil(len(rows) / CPUs) rows, at most SLICE_ROWS; no rows
     make one empty slice. With more than one row, more than one usable CPU
-    and numpy's OpenBLAS thread setter, the calling thread and the pool's
-    threads, one per CPU in all, take them in turn, with OpenBLAS at 1
-    thread (BLAS threads on top of them only oversubscribe the CPUs);
-    otherwise they run inline. Each caller drains its own slices and
-    cancels every helper that has not started, so calls from several
-    threads, or from inside fn, share the pool: a caller waits only on
-    helpers running its own slices. Once fn raises on the calling thread,
-    no further slice is started. fn must compute every output row from
-    its own input row alone: then no split changes a bit."""
-    global _pool
+    and numpy's OpenBLAS thread setter, the calling thread and one helper
+    thread per further CPU, started for this call and joined before it
+    returns or raises, take them in turn with OpenBLAS at 1 thread (BLAS
+    threads on top of them only oversubscribe the CPUs); otherwise they run
+    inline. Once fn raises on any thread no further slice starts, and the
+    first error is raised. fn must compute every output row from its own
+    input row alone: then no split changes a bit."""
     workers = _cpus()
     step = min(-(-len(rows) // workers), SLICE_ROWS) or 1
     starts = range(0, len(rows) or 1, step)
@@ -530,36 +523,33 @@ def _map_rows(fn, rows) -> list:
         return [fn(rows[s:s + step]) for s in starts]
     jobs = iter(starts)
     take = threading.Lock()
-    out = {}
+    out, errors = {}, []
 
     def drain():
-        while True:
-            with take:
-                s = next(jobs, None)
-            if s is None:
-                return
-            out[s] = fn(rows[s:s + step])
-
-    with _one_blas_thread():
-        with _pin.lock:
-            if _pool is None:
-                # imported on first use: it adds ~6 ms to every import of oodnet
-                from concurrent.futures import ThreadPoolExecutor
-                _pool = ThreadPoolExecutor(workers - 1)
-        helpers = [_pool.submit(drain) for _ in range(workers - 1)]
         try:
+            while True:
+                with take:
+                    s = None if errors else next(jobs, None)
+                if s is None:
+                    return
+                out[s] = fn(rows[s:s + step])
+        except BaseException as error:   # KeyboardInterrupt included
+            errors.append(error)   # no slice is handed out after it
+
+    helpers = []
+    with _one_blas_thread():
+        try:
+            for _ in range(workers - 1):
+                helper = threading.Thread(target=drain)
+                helper.start()
+                helpers.append(helper)
             drain()
-        finally:
-            with take:   # the caller is done, or fn raised: hand out no more
-                jobs = iter(())
-            # a helper that has not started would find no job left: it
-            # need not run, so no caller waits on a busy pool. Every helper
-            # that has started ends before any error of theirs is raised.
-            started = [h for h in helpers if not h.cancel()]
-            for helper in started:
-                helper.exception()
-            for helper in started:
-                helper.result()
+        except BaseException as error:   # a helper failed to start
+            errors.append(error)
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return [out[s] for s in starts]
 
 

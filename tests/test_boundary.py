@@ -656,6 +656,35 @@ def test_malformed_idx_source_exits_1_writing_nothing(tmp_path, capsys, fault,
     assert not (tmp_path / "out").exists()
 
 
+def train_labels_skip_class_2(files, source):   # labels {0, 1, 3}
+    labels = files["train_labels"]
+    labels[labels == 2] = 3
+
+
+def keep_a_class_no_label_has(files, source):   # dense class 0 is empty
+    source.update(keep_classes=[-1, 0, 1], relabel=True)
+
+
+@pytest.mark.parametrize("fault,empty", [(train_labels_skip_class_2, 2),
+                                         (keep_a_class_no_label_has, 0)])
+@pytest.mark.parametrize("command", ["train", "calibrate", "train-head",
+                                     "run-experiment"])
+def test_a_main_train_split_missing_a_class_exits_1_naming_it(
+        tmp_path, capsys, fault, empty, command):
+    """The main labels index the classes: a class without a training
+    sample would train a backbone whose detector cannot fit it, so every
+    command that reads the split stops before it trains or writes."""
+    cfg_path = idx_config(tmp_path, fault)
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    before = path.read_bytes()
+    model = [] if command == "run-experiment" else ["--model", str(path)]
+    assert main([command, "--config", cfg_path, *model]) == 1
+    assert (f"error [{command}]: data.main train split: no samples of "
+            f"classes [{empty}]") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and path.read_bytes() == before
+
+
 def labels_one_short_in(split):
     def fault(files, source):
         files[f"{split}_labels"] = files[f"{split}_labels"][:-1]

@@ -65,6 +65,13 @@ class TestFitStats:
         np.testing.assert_allclose(stats[1].mean,
                                    feats[3:].mean(axis=0), atol=1e-6)
 
+    def test_fit_stats_names_a_class_too_small_to_fit(self):
+        feats = np.random.default_rng(0).normal(size=(7, 2))
+        labels = np.array([0, 0, 0, 1, 2, 2, 2])
+        with pytest.raises(DegenerateClass, match=r"^class 1: 1 samples for "
+                                                  r"dimension 2; need >= 3$"):
+            fit_stats(feats, labels)
+
     def test_fit_stats_on_no_rows_raises(self):
         with pytest.raises(DegenerateClass):
             fit_stats(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
@@ -425,7 +432,7 @@ print(nn._cpus(), hashlib.sha256(feats.tobytes() + logits.tobytes()
 
 def test_embed_and_distances_are_the_same_bits_on_one_cpu():
     """Pinned to one CPU, embed and distances_many run inline; unpinned,
-    on the thread pool with OpenBLAS at 1 thread."""
+    on helper threads with OpenBLAS at 1 thread."""
     cpus, inline = fresh_python(EMBED_AND_DISTANCE_HASH, "pinned").split()
     _, pooled = fresh_python(EMBED_AND_DISTANCE_HASH, "free").split()
     assert cpus == "1"

@@ -73,7 +73,7 @@ class TestHeadForward:
         assert p.shape == (0,) and p.dtype == np.float32
 
     def test_batched_rows_equal_one_row_calls(self):
-        """Rows spread over the thread pool (nn._map_rows) and one pass
+        """Rows spread over helper threads (nn._map_rows) and one pass
         recording a training tape give each row the bits of its own
         one-row call."""
         head = OodHead(84, seed=0)

@@ -585,7 +585,7 @@ class TestExtractFeatures:
             np.testing.assert_array_equal(logits, whole_logits)
 
 
-# --- batched inference on the thread pool (nn._map_rows) ---
+# --- batched inference on helper threads (nn._map_rows) ---
 
 
 @pytest.fixture(scope="module")
@@ -636,10 +636,10 @@ class TestMapRows:
     def test_the_blas_thread_count_changes_only_under_the_pool_lock(
             self, model28, monkeypatch):
         """Every write to OpenBLAS's thread count holds nn._pin.lock: a
-        write without it could restore the count while another call runs
-        on the pool, or leave it at 1 thread after the last."""
+        write without it could restore the count while another call's
+        slices run, or leave it at 1 thread after the last."""
         get, put = blas_threads()
-        if nn._cpus() < 2:   # take the pooled path on one CPU too
+        if nn._cpus() < 2:   # take the threaded path on one CPU too
             monkeypatch.setattr(nn, "_cpus", lambda: 2)
         writes = []
 
@@ -655,11 +655,11 @@ class TestMapRows:
 
     def test_a_call_nested_in_fn_gives_the_same_bits(self, model28,
                                                     monkeypatch):
-        """A _map_rows call made inside a pooled call's fn, on the caller
-        and on a helper, gives the same bits and never waits on the pool:
-        it drains its own slices, with any pool thread that is free."""
+        """A _map_rows call made inside a threaded call's fn, on the
+        caller and on a helper, gives the same bits and never waits on
+        another call: it drains its own slices with helpers of its own."""
         blas_threads()
-        if nn._cpus() < 2:   # take the pooled path on one CPU too
+        if nn._cpus() < 2:   # take the threaded path on one CPU too
             monkeypatch.setattr(nn, "_cpus", lambda: 2)
         images = images28(64, seed=4)
         want = model28.forward(images)
@@ -667,7 +667,7 @@ class TestMapRows:
         nested = []   # the thread of each outer slice
 
         def forward(part):
-            time.sleep(0.02)   # long enough that an idle pool thread joins in
+            time.sleep(0.02)   # long enough that a nested helper joins in
             return model28.forward(part)
 
         def outer(part):
@@ -688,7 +688,7 @@ class TestMapRows:
         t = threading.Thread(target=call, daemon=True)
         t.start()
         t.join(timeout=60)
-        assert not t.is_alive(), "a call inside fn waited on the pool"
+        assert not t.is_alive(), "a call inside fn waited on another call"
         assert caller[0] in nested and len(set(nested)) > 1
         feats, logits = zip(*(out for part in got[0] for out in part))
         np.testing.assert_array_equal(np.concatenate(feats), want[0])
@@ -696,7 +696,7 @@ class TestMapRows:
 
     def test_no_slice_starts_once_the_caller_raises(self, monkeypatch):
         """An exception from fn on the calling thread, KeyboardInterrupt
-        included, leaves the pool's threads only the slices they hold."""
+        included, leaves the helpers only the slices they hold."""
         blas_threads()
         monkeypatch.setattr(nn, "_cpus", lambda: 2)   # one helper thread
         monkeypatch.setattr(nn, "SLICE_ROWS", 1)
@@ -719,8 +719,7 @@ class TestMapRows:
         """A call raises a helper's error only when no slice of it still
         runs."""
         blas_threads()
-        monkeypatch.setattr(nn, "_cpus", lambda: 3)   # two helper threads,
-        monkeypatch.setattr(nn, "_pool", None)        # on a pool of their own
+        monkeypatch.setattr(nn, "_cpus", lambda: 3)   # two helper threads
         caller = threading.get_ident()
         taken, running = [], []
         both = threading.Event()
@@ -735,24 +734,66 @@ class TestMapRows:
                 first = len(taken) == 1
                 if not first:
                     both.set()
-            if first:
+            if first:   # once the other helper holds its slice
+                both.wait(timeout=30)
                 raise ValueError("a helper's slice failed")
             running.append(rows[0])
             time.sleep(0.2)
             running.remove(rows[0])
             return rows
 
-        try:
-            with pytest.raises(ValueError):
-                _map_rows(fn, np.arange(3))
-            assert len(taken) == 2 and not running
-        finally:
-            nn._pool.shutdown()
+        with pytest.raises(ValueError):
+            _map_rows(fn, np.arange(3))
+        assert len(taken) == 2 and not running
+
+    def test_no_slice_starts_once_a_helper_raises(self, monkeypatch):
+        """An exception from fn on a helper stops the hand-out as one on
+        the calling thread does: the caller starts no further slice."""
+        blas_threads()
+        monkeypatch.setattr(nn, "_cpus", lambda: 2)   # one helper thread
+        monkeypatch.setattr(nn, "SLICE_ROWS", 1)
+        caller = threading.get_ident()
+        started = []
+
+        def fn(rows):
+            started.append(rows[0])
+            if threading.get_ident() != caller:
+                raise ValueError("a helper's slice failed")
+            time.sleep(0.005)
+            return rows
+
+        with pytest.raises(ValueError):
+            _map_rows(fn, np.arange(200))
+        assert len(started) < 20
+
+    def test_no_thread_outlives_a_call(self, model28, monkeypatch):
+        """The threads that ran an embed's slices, the caller aside, have
+        all ended when it returns."""
+        blas_threads()
+        if nn._cpus() < 2:   # take the threaded path on one CPU too
+            monkeypatch.setattr(nn, "_cpus", lambda: 2)
+        images = images28(40, seed=3)
+        want = embed(model28, images)
+        threads = set()
+        both = threading.Barrier(2, timeout=30)   # two slices at once
+        forward = model28.forward
+
+        def recorded(x):
+            threads.add(threading.current_thread())
+            both.wait()
+            return forward(x)
+
+        monkeypatch.setattr(model28, "forward", recorded)
+        feats, logits = embed(model28, images)
+        helpers = threads - {threading.current_thread()}
+        assert helpers and not any(t.is_alive() for t in helpers)
+        np.testing.assert_array_equal(feats, want[0])
+        np.testing.assert_array_equal(logits, want[1])
 
     def test_overlapping_regions_keep_one_blas_thread_and_restore_it(
             self, model28):
-        """More callers than CPUs, with a short switch interval, share the
-        pool: every slice of every call sees OpenBLAS at 1 thread, and the
+        """More callers than CPUs, with a short switch interval, run at
+        once: every slice of every call sees OpenBLAS at 1 thread, and the
         count set before the calls is restored after the last."""
         get, put = blas_threads()
         before = get()
@@ -805,26 +846,11 @@ class TestMapRows:
         np.testing.assert_array_equal(feats, want[0])
         np.testing.assert_array_equal(logits, want[1])
 
-    def test_a_caller_on_a_pool_thread_does_not_wait_on_the_pool(self):
-        """With every pool thread busy calling _map_rows, each caller takes
-        all its slices itself: none waits for a helper that never starts."""
-        if nn._cpus() < 2:
-            pytest.skip("one usable CPU: there is no pool")
-        blas_threads()
-        _map_rows(lambda part: part, np.arange(8))   # the pool starts
-        pool = nn._pool
-        rows = np.arange(100)
-        calls = [pool.submit(_map_rows, lambda part: part * 2, rows)
-                 for _ in range(pool._max_workers)]
-        for call in calls:
-            np.testing.assert_array_equal(
-                np.concatenate(call.result(timeout=60)), rows * 2)
-
     def test_calls_from_two_threads_share_the_pool_at_once(self, monkeypatch):
         """Neither call waits for the other to end: the first slice of each
         waits until the other's has begun, and both return their rows in
         order."""
-        if nn._cpus() < 2:   # take the pooled path on one CPU too
+        if nn._cpus() < 2:   # take the threaded path on one CPU too
             monkeypatch.setattr(nn, "_cpus", lambda: 2)
         both = threading.Barrier(2, timeout=5)
 
@@ -911,12 +937,12 @@ class TestTrainingOnOneBlasThread:
 
     def test_a_pooled_embed_inside_a_training_call_on_another_thread(
             self, model28, monkeypatch):
-        """The training region opens first and ends last: the pooled call
+        """The training region opens first and ends last: the threaded call
         nested in it on another thread writes nothing, every slice of it
         sees one thread, and the count found comes back after both. Every
         write holds the pin's lock."""
         get, put = blas_threads()
-        if nn._cpus() < 2:   # take the pooled path on one CPU too
+        if nn._cpus() < 2:   # take the threaded path on one CPU too
             monkeypatch.setattr(nn, "_cpus", lambda: 2)
         images = images28(40, seed=6)
         want = embed(model28, images)
@@ -971,7 +997,7 @@ import numpy as np
 from oodnet import nn
 get, put = nn._blas_threads()
 put(3)
-nn._map_rows(lambda rows: rows, np.arange(8))   # the parent's pool has threads
+nn._map_rows(lambda rows: rows, np.arange(8))   # the parent has run helpers
 pooled = nn._cpus() > 1
 
 def child():
@@ -1034,7 +1060,7 @@ def bytes_of(n, side=28, seed=0):
 
 
 class TestByteImages:
-    @pytest.mark.parametrize("cpus", [1, 2])   # inline, and on the pool
+    @pytest.mark.parametrize("cpus", [1, 2])   # inline, and on helper threads
     @pytest.mark.parametrize("n", [1, 17, 64])
     def test_bytes_give_the_bits_of_their_normalized_pixels(
             self, model28, n, cpus, monkeypatch):
@@ -1080,11 +1106,11 @@ import numpy as np
 from oodnet import nn
 model = nn.Backbone(3, input_side=12, seed=0)
 images = np.random.default_rng(0).random((64, 12, 12), dtype=np.float32)
-want = nn.embed(model, images)[0]   # the parent's pool now has threads
+want = nn.embed(model, images)[0]   # the parent has run helpers
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)
-    def slow(rows):   # long enough that a pool thread takes a slice
+    def slow(rows):   # long enough that a helper takes a slice
         time.sleep(0.05)
         return threading.get_ident()
     threads = set(nn._map_rows(slow, np.arange(8)))
@@ -1095,6 +1121,6 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 
 def test_a_forked_child_maps_rows_on_a_pool_of_its_own():
-    """The child inherits the parent's pool but none of its threads: a
-    slice given to that pool would never run (and never be freed)."""
+    """A child forked after the parent's threaded calls starts helpers of
+    its own and gives the parent's bits."""
     assert fresh_python(FORKED_EMBED).split() == ["0"]

@@ -65,9 +65,6 @@ def snapshot():
 
 
 def test_installed_tracer_records_and_restores(spans, tmp_path):
-    # start nn's thread pool first: the run would otherwise bind nn._pool
-    # when this test runs alone, which is no binding the tracer made
-    nn.embed(nn.Backbone(3, input_side=12), np.zeros((2, 12, 12), np.float32))
     before = snapshot()
     tracer = spans.Tracer()
     with tracer.installed():
