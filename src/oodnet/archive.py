@@ -36,6 +36,14 @@ class ModelState:
     head: OodHead | None = None
     meta: dict = field(default_factory=dict)
 
+    def judge(self, feats: np.ndarray) -> tuple:
+        """Feature rows -> the detector's verdicts and nearest-class distances,
+        then the head's p and verdicts (None, None without a head)."""
+        det, head = self.detector, self.head
+        judged = det.is_normal_many(feats), det.anomaly_score_many(feats)
+        p = None if head is None else head.forward_many(feats)
+        return (*judged, p, None if p is None else head.accepts(p))
+
 
 def save_model(path, state: ModelState):
     blobs: dict[str, np.ndarray] = dict(state.backbone.state())
@@ -60,13 +68,12 @@ def save_model(path, state: ModelState):
         "blobs": [{"name": k, "shape": list(v.shape)} for k, v in blobs.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
+    data = b"".join([MAGIC, struct.pack("<IQ", VERSION, len(header_bytes)),
+                     header_bytes, *(np.ascontiguousarray(arr, dtype="<f4").tobytes()
+                                     for arr in blobs.values())])
+    _decode(data)   # only bytes that load_model reads: a NaN blob is refused
     with replacing(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for name, arr in blobs.items():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(data)
 
 
 def _decode(data: bytes) -> tuple[dict, dict]:

@@ -19,7 +19,7 @@ from .evalkit import write_csv, write_metrics_csv
 from .experiment import (RunConfig, _load_split, archive_path, evaluate,
                          run_calibration, run_experiment, run_stage_one,
                          run_stage_two)
-from .nn import embed, extract_features
+from .nn import embed, extract_features, feature_rows
 
 
 def _load_config(args) -> RunConfig:
@@ -107,24 +107,22 @@ def cmd_eval(cfg: RunConfig, args):
 def cmd_score(cfg: RunConfig, args):
     state = _load_calibrated(cfg, args)
     feats, logits = embed(state.backbone, datamod.load_idx_file(args.image_file))
+    accepted, scores, p, head_accepted = state.judge(feats)
     verdict = {True: "normal", False: "ood"}
     lines = [f"{i}: class={cls} verdict={verdict[ok]} min_distance={s:.4f}"
              for i, (cls, ok, s) in enumerate(zip(
-                 logits.argmax(axis=1).tolist(),
-                 state.detector.is_normal_many(feats).tolist(),
-                 state.detector.anomaly_score_many(feats).tolist()))]
-    if state.head is not None:
-        p = state.head.forward_many(feats)
+                 logits.argmax(axis=1).tolist(), accepted.tolist(), scores.tolist()))]
+    if p is not None:
         lines = [f"{line} head_p={p_i:.4f} head_verdict={verdict[ok]}"
-                 for line, p_i, ok in zip(lines, p.tolist(),
-                                          state.head.accepts(p).tolist())]
+                 for line, p_i, ok in zip(lines, p.tolist(), head_accepted.tolist())]
     print("\n".join(lines))
 
 
 def cmd_export_features(cfg: RunConfig, args):
     state = load_model(_archive_path(cfg, args))
     main_test = _load_split(cfg.main, "test", anomaly=False)
-    feats = extract_features(state.backbone, main_test.images)
+    feats = feature_rows(extract_features(state.backbone, main_test.images),
+                         state.backbone.feature_dim)
     path = os.path.join(cfg.output_dir, "features.csv")
     write_csv(path, [f"f{i}" for i in range(feats.shape[1])] + ["label"],
               # one row at a time: the whole split as Python floats would

@@ -249,14 +249,10 @@ def evaluate(state: ModelState, feats_in, logits_in, labels_in, feats_out,
     cls_f1 = f1(confusion(labels_in, logits_in.argmax(axis=1), n), "macro")
     feats_all = np.concatenate([feats_in, feats_out])
     is_ood = np.arange(len(feats_all)) >= len(feats_in)
-    det, head = state.detector, state.head
-    semi = _ood_metrics(det.is_normal_many(feats_all),
-                        det.anomaly_score_many(feats_all), is_ood,
-                        higher_is_anomalous=True)
-    sup = ()
-    if head is not None:
-        p = head.forward_many(feats_all)
-        sup = _ood_metrics(head.accepts(p), p, is_ood, higher_is_anomalous=False)
+    accepted, scores, p, head_accepted = state.judge(feats_all)
+    semi = _ood_metrics(accepted, scores, is_ood, higher_is_anomalous=True)
+    sup = () if p is None else _ood_metrics(head_accepted, p, is_ood,
+                                            higher_is_anomalous=False)
     # CellResult's fields: semi_f1, semi_auc, semi_roc, then the sup_ ones
     return CellResult(lam, seed, cls_f1, *semi, *sup)
 

@@ -503,6 +503,28 @@ def test_train_with_a_non_finite_loss_exits_1_writing_nothing(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_that_diverges_in_its_last_step_exits_1_writing_no_archive(
+        tmp_path, capsys):
+    """One SGD step at learning rate 1e300: every loss the run sees is
+    finite, but the step leaves NaN or inf parameters, and save_model
+    refuses what load_model would. An archive already at the path keeps
+    its bytes."""
+    raw = synth_config(tmp_path, epochs=1)
+    raw["train"].update(learning_rate=1e300, batch_size=1000)
+    cfg_path = write_config(tmp_path, raw)
+    assert main(["train", "--config", cfg_path]) == 1
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"error \[train\]: blob \S+ holds NaN or inf\n", err)
+    assert not out and not (tmp_path / "out").exists()
+    path = tmp_path / "m.oodn"
+    save_model(path, full_state())
+    before = path.read_bytes()
+    assert main(["train", "--config", cfg_path, "--model", str(path)]) == 1
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "m.oodn"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_finite_loss_names_its_batch_and_epoch_seed(tmp_path, capsys):
     cfg_path = write_config(tmp_path, synth_config(
         tmp_path, seeds=(5,), lambdas=(1e300,), epochs=1))

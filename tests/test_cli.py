@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oodnet import data, nn, synth_blobs
-from oodnet.archive import ModelState, load_model, save_model
+from oodnet.archive import ModelState, _decode, load_model, save_model
 from oodnet.centerloss import Centers
 from oodnet.cli import main
 from oodnet.data import load_idx_file, normalize, serialize_idx
@@ -185,16 +185,34 @@ class TestCheckedParameterLoading:
         assert "error [score]" in capsys.readouterr().err
 
 
+def overflowing_archive(tmp_path) -> Path:
+    """An archive whose parameters are all finite but whose forward
+    overflows: fc1.b = 3e38 makes every feature NaN or inf."""
+    state = full_state()
+    state.backbone.state()["fc1.b"][:] = 3e38
+    path = tmp_path / "m.oodn"
+    save_model(path, state)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow
 class TestNonFiniteFeature:
     def test_score_exits_1_on_nan_parameter(self, tmp_path, capsys):
-        # IDX pixels are uint8, so a non-finite parameter is the way from
-        # the CLI to a non-finite feature
-        state = full_state()
-        state.backbone.state()["fc2.b"][:] = np.nan
-        path = tmp_path / "m.oodn"
-        save_model(path, state)
+        # IDX pixels are uint8, and the loader refuses a non-finite
+        # parameter, so an overflowing forward is the way from the CLI to
+        # a non-finite feature
+        path = overflowing_archive(tmp_path)
         assert score_probe(tmp_path, path) == 1
         assert "error [score]" in capsys.readouterr().err
+
+    def test_export_features_exits_1_writing_no_csv(self, tmp_path, capsys):
+        path = overflowing_archive(tmp_path)
+        cfg_path = write_config(tmp_path, synth_config(tmp_path))
+        assert main(["export-features", "--config", cfg_path,
+                     "--model", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error [export-features]: feature holds NaN or inf\n"
+        assert not out and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("shape", [(40, 16, 16), (40,)])
@@ -458,6 +476,32 @@ class TestCliCommands:
         assert main(["train", "--config", cfg_path,
                      "--lambda", "0.5", "--seed", "3"]) == 0
         assert (tmp_path / "out" / "model_lam0.5_seed3.oodn").exists()
+
+
+def test_staged_commands_give_the_sweeps_archive(tmp_path, capsys):
+    """train, calibrate and train-head leave the archive that run-experiment
+    writes for the same config: the same blobs, bit for bit, and the same
+    header but for meta.trained_on, which only the sweep records."""
+    cfg_path = write_config(tmp_path, synth_config(tmp_path, epochs=2))
+    for command in ("train", "calibrate", "train-head"):
+        assert main([command, "--config", cfg_path]) == 0
+    assert main(["run-experiment", "--config", cfg_path,
+                 "--out", str(tmp_path / "sweep")]) == 0
+    staged, swept = (tmp_path / d / "model_lam0_seed0.oodn" for d in ("out", "sweep"))
+    (staged_header, staged_blobs), (swept_header, swept_blobs) = (
+        _decode(path.read_bytes()) for path in (staged, swept))
+    assert list(staged_blobs) == list(swept_blobs)
+    for name, blob in staged_blobs.items():
+        assert blob.tobytes() == swept_blobs[name].tobytes(), name
+    assert swept_header["meta"].pop("trained_on") == "main-train"
+    assert staged_header == swept_header
+    capsys.readouterr()
+    printed = []
+    for path in (staged, swept):
+        assert main(["eval", "--config", cfg_path, "--model", str(path),
+                     "--out", str(tmp_path / "eval")]) == 0
+        printed.append(capsys.readouterr().out.splitlines()[:-1])   # not "wrote"
+    assert printed[0] == printed[1] and len(printed[0]) == 3
 
 
 class TestOneSplitPerLoad:
