@@ -68,9 +68,14 @@ def save_model(path, state: ModelState):
         "blobs": [{"name": k, "shape": list(v.shape)} for k, v in blobs.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    data = b"".join([MAGIC, struct.pack("<IQ", VERSION, len(header_bytes)),
-                     header_bytes, *(np.ascontiguousarray(arr, dtype="<f4").tobytes()
-                                     for arr in blobs.values())])
+    prefix = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes
+    # one buffer, each blob cast straight into its place: no second copy
+    data = bytearray(len(prefix) + 4 * sum(arr.size for arr in blobs.values()))
+    data[:len(prefix)] = prefix
+    offset = len(prefix)
+    for arr in blobs.values():
+        np.frombuffer(data, "<f4", arr.size, offset)[:] = arr.ravel()
+        offset += 4 * arr.size
     _decode(data)   # only bytes that load_model reads: a NaN blob is refused
     with replacing(path, "wb") as fh:
         fh.write(data)

@@ -124,11 +124,10 @@ def load_idx_dataset(image_path, label_path, role: str) -> LabeledDataset:
     return LabeledDataset(images, labels, class_map, role)
 
 
-def split_classes(ds: LabeledDataset, keep, relabel: bool = False) -> LabeledDataset:
-    """Filter a dataset down to the given original classes.
-
-    With relabel on, kept classes are remapped to a dense [0, len(keep))
-    range in ascending original order.
+def split_classes(ds: LabeledDataset, keep) -> LabeledDataset:
+    """Filter a dataset down to the given original classes, renumbered to
+    a dense [0, len(keep)) in ascending original order (class_map holds
+    original -> dense), so the kept labels index the kept classes.
     """
     keep = sorted(set(int(k) for k in keep))
     if not keep:
@@ -136,12 +135,8 @@ def split_classes(ds: LabeledDataset, keep, relabel: bool = False) -> LabeledDat
     mask = np.isin(ds.labels, keep)
     if not mask.any():
         raise EmptySplit(f"no samples with labels in {keep}")
-    labels = ds.labels[mask]
-    if relabel:
-        mapping = {orig: dense for dense, orig in enumerate(keep)}
-        labels = np.searchsorted(keep, labels).astype(np.int64)
-    else:
-        mapping = {orig: orig for orig in keep}
+    labels = np.searchsorted(keep, ds.labels[mask]).astype(np.int64)
+    mapping = {orig: dense for dense, orig in enumerate(keep)}
     # boolean indexing copies: the result shares no memory with ds
     return LabeledDataset(ds.images[mask], labels, mapping, ds.role)
 

@@ -82,7 +82,6 @@ class SourceSpec:
     idx: dict | None = None
     synthetic: SynthSpec | None = None
     keep_classes: list | None = None
-    relabel: bool = False
 
 
 @dataclass
@@ -120,12 +119,6 @@ class RunConfig:
                for key in ("percentile", "tau") if key in raw})
         for key in ("percentile", "tau"):
             check_percentile(getattr(cfg, key), ConfigError, key)
-        keep = cfg.main.keep_classes and sorted(set(cfg.main.keep_classes))
-        if keep and not cfg.main.relabel and keep != list(range(len(keep))):
-            # the main labels index the classes: a gap leaves one empty
-            raise ConfigError(
-                f"data.main.keep_classes: {keep} are not 0..{len(keep) - 1}; "
-                "set data.main.relabel to true to renumber them")
         for key, tags in (("lambdas", [_tag(lam, 0) for lam in cfg.lambdas]),
                           ("seeds", [_tag(0.0, seed) for seed in cfg.seeds])):
             if len(set(tags)) < len(tags):   # two cells would share files
@@ -149,9 +142,7 @@ class RunConfig:
         if keep is not None:
             _list(keep, int, f"{where}.keep_classes")
         return SourceSpec(idx=raw.get("idx"), synthetic=synthetic,
-                          keep_classes=keep,
-                          relabel=_value(raw.get("relabel", False), bool,
-                                         f"{where}.relabel"))
+                          keep_classes=keep)
 
 
 def _load_split(spec: SourceSpec | None, split: str, anomaly: bool):
@@ -172,7 +163,7 @@ def _load_split(spec: SourceSpec | None, split: str, anomaly: bool):
             separation=s.separation, seed=s.seed + (split == "test"),
             role=role, layout_seed=s.layout_seed)
     if spec.keep_classes is not None:
-        ds = datamod.split_classes(ds, spec.keep_classes, spec.relabel)
+        ds = datamod.split_classes(ds, spec.keep_classes)
     if role == datamod.ROLE_MAIN_TRAIN:   # its labels index the classes
         empty = np.flatnonzero(np.bincount(ds.labels) == 0).tolist()
         if empty:

@@ -85,8 +85,8 @@ def get_split(name):
         tr = real_dataset("mnist", "train", "main-train")
         te = real_dataset("mnist", "test", "main-test")
         keep = set(range(1, 10))
-        return (split_classes(tr, keep, relabel=True),
-                split_classes(te, keep, relabel=True),
+        return (split_classes(tr, keep),
+                split_classes(te, keep),
                 None,
                 split_classes(real_dataset("mnist", "test", "anomaly"), {0}))
     raise ValueError(name)

@@ -357,8 +357,7 @@ CONFIG_FAULTS = [
     ("train.batch_size", 0),
     ("train.epochs", "3"),
     ("head_train.epochs", -1),
-    ("data.main.relabel", "no"),
-    ("data.main.keep_classes", [1, 2]),   # class 0 would be empty
+    ("data.main.relabel", "no"),   # an old config's relabel: an unknown key
     pytest.param("lambdas", [PAST_FLOAT], id="lambdas-int_past_float"),
     *(pytest.param(key, PAST_FLOAT, id=f"{key}-int_past_float") for key in
       ("percentile", "tau", "train.learning_rate", "train.momentum")),
@@ -408,14 +407,25 @@ class TestConfigFaults:
 
 
 @pytest.mark.parametrize("keep", [[1, 2], [0, 2], [3, 0, 1, 2, 5]])
-def test_main_classes_off_0_to_k_without_relabel_name_both_keys(tmp_path, keep):
+def test_main_classes_off_0_to_k_load(tmp_path, keep):
     raw = synth_config(tmp_path)
     raw["data"]["main"]["keep_classes"] = keep
-    with pytest.raises(ConfigError,
-                       match=r"data\.main\.keep_classes: .*data\.main\.relabel"):
-        RunConfig.from_dict(raw)
-    raw["data"]["main"]["relabel"] = True
-    RunConfig.from_dict(raw)
+    assert RunConfig.from_dict(raw).main.keep_classes == keep
+
+
+def test_main_classes_off_0_to_k_train_on_dense_labels(tmp_path, capsys):
+    """keep_classes renumbers: classes 1 and 2 train a two-class model
+    whose exported rows are labelled 0 and 1."""
+    raw = synth_config(tmp_path, epochs=1)
+    raw["data"]["main"]["keep_classes"] = [1, 2]
+    cfg_path = write_config(tmp_path, raw)
+    assert main(["run-experiment", "--config", cfg_path]) == 0
+    assert main(["export-features", "--config", cfg_path]) == 0
+    assert load_model(tmp_path / "out" / "model_lam0_seed0.oodn"
+                      ).backbone.n_classes == 2
+    with open(tmp_path / "out" / "features.csv", newline="") as fh:
+        labels = [row["label"] for row in csv.DictReader(fh)]
+    assert len(labels) == 60 and set(labels) == {"0", "1"}
 
 
 def test_classes_0_to_k_or_of_the_anomaly_source_need_no_relabel(tmp_path):
@@ -423,8 +433,7 @@ def test_classes_0_to_k_or_of_the_anomaly_source_need_no_relabel(tmp_path):
     raw = synth_config(tmp_path)
     raw["data"]["main"]["keep_classes"] = [2, 0, 1, 0]
     raw["data"]["anomaly"]["keep_classes"] = [1]
-    cfg = RunConfig.from_dict(raw)
-    assert not cfg.main.relabel and not cfg.anomaly.relabel
+    RunConfig.from_dict(raw)
 
 
 def without_key(tmp_path, dotted: str) -> dict:
@@ -567,7 +576,7 @@ def test_calibrate_to_another_class_count_exits_1_leaving_the_archive(
     save_model(path, full_state())
     before = path.read_bytes()
     raw = synth_config(tmp_path)
-    raw["data"]["main"].update(keep_classes=[0, 1], relabel=True)
+    raw["data"]["main"].update(keep_classes=[0, 1])
     assert main(["calibrate", "--config", write_config(tmp_path, raw),
                  "--model", str(path)]) == 1
     out, err = capsys.readouterr()
@@ -655,7 +664,7 @@ def images_as_labels(files, source):
 
 
 def one_class_after_relabel(files, source):
-    source.update(keep_classes=[1], relabel=True)
+    source.update(keep_classes=[1])
 
 
 def label_out_of_range(files, source):
@@ -684,7 +693,7 @@ def train_labels_skip_class_2(files, source):   # labels {0, 1, 3}
 
 
 def keep_a_class_no_label_has(files, source):   # dense class 0 is empty
-    source.update(keep_classes=[-1, 0, 1], relabel=True)
+    source.update(keep_classes=[-1, 0, 1])
 
 
 @pytest.mark.parametrize("fault,empty", [(train_labels_skip_class_2, 2),

@@ -91,6 +91,27 @@ class TestArchive:
         save_model(p2, load_model(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_holds_one_copy_of_the_blob_bytes(self, tmp_path):
+        """A 10-class 28x28 state with a head: the blobs are cast into the
+        one buffer that is written, so the traced peak of a save stays
+        near the file's size."""
+        ds = synth_blobs(10, 90, side=28, seed=0)
+        model = Backbone(10, input_side=28, seed=0)
+        feats = extract_features(model, ds.images)
+        det = DetectorModel(fit_stats(feats, ds.labels))
+        det.calibrate(feats, ds.labels)
+        state = ModelState(backbone=model,
+                           centers=Centers(10, model.feature_dim, seed=0),
+                           detector=det, head=OodHead(model.feature_dim, seed=0))
+        path = tmp_path / "m.oodn"
+        tracemalloc.start()
+        try:
+            save_model(path, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * path.stat().st_size
+
     def test_partial_state(self, tmp_path):
         state = ModelState(backbone=Backbone(3, input_side=12, seed=0))
         path = tmp_path / "partial.oodn"

@@ -94,7 +94,7 @@ class TestSplitClasses:
         assert out.labels.tolist() == [0, 0]
 
     def test_relabel_dense_ascending(self):
-        out = split_classes(make_ds([1, 5, 9]), set(range(1, 10)), relabel=True)
+        out = split_classes(make_ds([1, 5, 9]), set(range(1, 10)))
         assert out.labels.tolist() == [0, 4, 8]
         assert out.class_map == {k: k - 1 for k in range(1, 10)}
 
@@ -108,12 +108,12 @@ class TestSplitClasses:
 
     def test_keep_all_is_identity(self):
         ds = make_ds([0, 1, 2, 1])
-        out = split_classes(ds, {0, 1, 2}, relabel=False)
+        out = split_classes(ds, {0, 1, 2})
         np.testing.assert_array_equal(out.images, ds.images)
         np.testing.assert_array_equal(out.labels, ds.labels)
 
     def test_class_map_invertible_on_kept(self):
-        out = split_classes(make_ds([2, 4, 6]), {2, 4, 6}, relabel=True)
+        out = split_classes(make_ds([2, 4, 6]), {2, 4, 6})
         inverse = {v: k for k, v in out.class_map.items()}
         for orig in (2, 4, 6):
             assert inverse[out.class_map[orig]] == orig
@@ -128,7 +128,7 @@ class TestSplitClasses:
         ds = LabeledDataset(images, labels, {c: c for c in range(10)})
         tracemalloc.start()
         try:
-            out = split_classes(ds, range(1, 10), relabel=True)
+            out = split_classes(ds, range(1, 10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,12 +14,15 @@ hashes of the captured stdout, do not depend on <dir>. It writes:
 - ``cell28/``: one 28x28 cell shaped like the ``experiment-cell``
   workload, from ``write_cell_inputs(dir, 0, FULL_CELL)`` in
   ``perfbench/workloads.py`` (lambda 0.1);
+- ``heldout/``: a held-out-class sweep of ``synth_config``'s settings on
+  4 synthetic classes, main ``keep_classes`` [1, 2, 3] (renumbered to
+  0..2) and anomaly ``keep_classes`` [0] of the same source;
 
-and, for the sweep archive of ``synth`` and of ``cell28``, the stdout of
-``eval``, of ``export-features`` and of ``score`` on 8 probe images
-(``synth_blobs`` seed 21 in the main layout and seed 22 in the anomaly
-layout, 4 images each). It prints one ``| output | sha256 |`` row per
-file and per stdout.
+and, for the sweep archives of ``synth``, ``cell28`` and ``heldout``, the
+stdout of ``eval``, of ``export-features`` and of ``score`` on 8 probe
+images (``synth_blobs`` seed 21 in the main layout and seed 22 in the
+anomaly layout, 4 images each). It prints one ``| output | sha256 |`` row
+per file and per stdout.
 """
 from __future__ import annotations
 
@@ -56,6 +59,13 @@ SYNTH_CONFIG = {
                                   "layout_seed": 99}},
     },
 }
+
+HELDOUT_SOURCE = {"synthetic": dict(SYNTH_CONFIG["data"]["main"]["synthetic"],
+                                    n_classes=4)}
+HELDOUT_CONFIG = dict(SYNTH_CONFIG, data={
+    "main": dict(HELDOUT_SOURCE, keep_classes=[1, 2, 3]),
+    "anomaly": dict(HELDOUT_SOURCE, keep_classes=[0]),
+})
 
 
 def load_workloads():
@@ -131,10 +141,12 @@ def main(argv=None) -> int:
     workloads = load_workloads()
     cell = workloads.write_cell_inputs("cell28", 0, workloads.FULL_CELL)
     sweep_and_query("cell28", cell, 28, workloads.MAIN, workloads.ANOMALY)
+    held = HELDOUT_SOURCE["synthetic"]
+    sweep_and_query("heldout", HELDOUT_CONFIG, 12, held, held)
 
     print("| output | sha256 |")
     print("|---|---|")
-    for top in ("synth", "staged", "cell28"):
+    for top in ("synth", "staged", "cell28", "heldout"):
         for path in sorted(Path(top).rglob("*")):
             if path.is_file() and path.suffix != ".idx":
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
