@@ -148,7 +148,8 @@ class RunConfig:
 def _load_split(spec: SourceSpec | None, split: str, anomaly: bool):
     """Split "train" or "test" of a source, in the anomaly role for an anomaly
     source. No source (a config without data.anomaly) is a ConfigError, and
-    a main train split with no sample of a class in 0..max DegenerateClass."""
+    a main train split with no sample of a class in 0..max label or of a
+    dense class of its class_map a DegenerateClass."""
     if spec is None:
         raise ConfigError("data: missing 'anomaly' source")
     role = (datamod.ROLE_ANOMALY if anomaly else datamod.ROLE_MAIN_TRAIN
@@ -165,7 +166,8 @@ def _load_split(spec: SourceSpec | None, split: str, anomaly: bool):
     if spec.keep_classes is not None:
         ds = datamod.split_classes(ds, spec.keep_classes)
     if role == datamod.ROLE_MAIN_TRAIN:   # its labels index the classes
-        empty = np.flatnonzero(np.bincount(ds.labels) == 0).tolist()
+        counts = np.bincount(ds.labels, minlength=len(ds.class_map))
+        empty = np.flatnonzero(counts == 0).tolist()
         if empty:
             raise DegenerateClass(f"data.main train split: no samples of classes {empty}")
     return ds

@@ -7,10 +7,13 @@ mode. The deep feature is the post-ReLU output of the last hidden dense
 layer (84 units by default) feeding the linear classifier.
 
 Kernels: convolution is im2col plus one GEMM per block of ``BLOCK``
-samples, the block's patch matrix gathered with one ``np.take`` through a
-flat patch index that is built once per input shape. Its backward
-computes the input gradient (col2im) with one GEMM and one strided add per
-kernel offset, never holding the whole patch-gradient matrix. Max pooling
+samples. Going forward, the block's patch rows are the ``.T`` view of one
+C-contiguous copy of its sliding windows, copied a window row at a time.
+Going back, dW takes them C-contiguous, gathered with one ``np.take``
+through a flat patch index that is built once per input shape: over the
+transposed rows, OpenBLAS rounds dW differently at some block sizes.
+The input gradient (col2im) is one GEMM and one strided add per kernel
+offset, never holding the whole patch-gradient matrix. Max pooling
 is ``np.maximum`` over four strided views, and dense layers use a
 fixed-order ``einsum``. Inference gives the same bits at any batch size
 because every output row is computed from its own input row alone: a
@@ -44,6 +47,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .centerloss import center_loss, center_loss_grads, combine
 from .data import ROLE_MAIN_TRAIN, LabeledDataset, make_batches, normalize
@@ -105,7 +109,8 @@ class ParamLayer(Layer):
 def _patch_index(C, H, W, k):
     """Read-only (Ho*Wo, C*k*k) index into one flattened (C, H, W) sample:
     row r = i*Wo + j lists the pixels of the patch at output pixel (i, j) in
-    (c, u, v) order. Cached per shape, so every block and pass shares it."""
+    (c, u, v) order. Cached per shape, so every block of every backward
+    pass shares it."""
     Ho, Wo = H - k + 1, W - k + 1
     offsets = (np.arange(C)[:, None, None] * (H * W)
                + np.arange(k)[:, None] * W + np.arange(k)).ravel()
@@ -113,6 +118,15 @@ def _patch_index(C, H, W, k):
     index = corners[:, None] + offsets
     index.flags.writeable = False
     return index
+
+
+def _windows(x, k):
+    """(b, C, H, W) -> patch rows (b*Ho*Wo, C*k*k) in the order of _im2col,
+    as the ``.T`` view of one C-contiguous (C*k*k, b*Ho*Wo) window copy,
+    whose inner runs are Wo pixels of one image row."""
+    C = x.shape[1]
+    win = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+    return np.ascontiguousarray(win).reshape(C * k * k, -1).T
 
 
 def _im2col(x, k):
@@ -129,13 +143,18 @@ class Conv2D(ParamLayer):
 
     im2col (Chellapilla, Puri & Simard, 2006): each output pixel's patch
     is one row of a matrix, and one GEMM against the flattened kernels
-    computes a block of ``BLOCK`` samples. The matrix is one gather from
-    the block's flattened samples through ``_patch_index``, a read-only
-    index of the patch pixels of one sample, cached per (C, H, W, k).
-    Every output value is the dot product of its own patch row with one
-    kernel, so it does not depend on the block or batch size it was
-    computed in. ``saved`` is the padded input: backward rebuilds each
-    block's patches from it for dW. It computes dx by col2im without the
+    computes a block of ``BLOCK`` samples. Forward, the matrix is
+    ``_windows``: the ``.T`` view of one C-contiguous (C*k*k, pixels)
+    copy of the block's sliding windows, whose inner runs are Wo pixels
+    of an image row. OpenBLAS packs these rows into the same panels as
+    C-contiguous ones, so the product has the same bits. Every output
+    value is the dot product of its own patch row with one kernel, so it
+    does not depend on the block or batch size it was computed in.
+    ``saved`` is the padded input: backward rebuilds each block's patches
+    from it for dW as C-contiguous rows, one gather through
+    ``_patch_index`` (a read-only index of the patch pixels of one
+    sample, cached per (C, H, W, k)); over the transposed rows, dW of a
+    one-sample block rounds differently. It computes dx by col2im without the
     full (C*k*k, Ho*Wo*m) patch-gradient matrix: for each kernel offset,
     one GEMM of that offset's (C, O) kernel slice against the output
     gradient, added into dx at that offset before the next GEMM.
@@ -167,7 +186,7 @@ class Conv2D(ParamLayer):
         w = np.ascontiguousarray(self.W.reshape(O, -1).T)
         out = np.empty((m, O, Ho, Wo), dtype=x.dtype)
         for s in range(0, m, BLOCK):
-            y = _im2col(x[s:s + BLOCK], k) @ w
+            y = _windows(x[s:s + BLOCK], k) @ w
             out[s:s + BLOCK] = y.reshape(-1, Ho, Wo, O).transpose(0, 3, 1, 2)
         out += self.b[:, None, None]
         return out, x

@@ -696,8 +696,13 @@ def keep_a_class_no_label_has(files, source):   # dense class 0 is empty
     source.update(keep_classes=[-1, 0, 1])
 
 
+def keep_a_class_that_sorts_last(files, source):   # dense class 2 is empty
+    source.update(keep_classes=[0, 1, 5])
+
+
 @pytest.mark.parametrize("fault,empty", [(train_labels_skip_class_2, 2),
-                                         (keep_a_class_no_label_has, 0)])
+                                         (keep_a_class_no_label_has, 0),
+                                         (keep_a_class_that_sorts_last, 2)])
 @pytest.mark.parametrize("command", ["train", "calibrate", "train-head",
                                      "run-experiment"])
 def test_a_main_train_split_missing_a_class_exits_1_naming_it(

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import re
@@ -21,7 +22,7 @@ from oodnet.errors import (EmptyDataset, LabelOutOfRange, NonFiniteLoss,
 from oodnet import nn
 from oodnet.head import HeadTrainConfig, OodHead, train_head_on_features
 from oodnet.nn import (BLOCK, SGD, Conv2D, Dense, MaxPool2x2, ReLU,
-                       _im2col, _map_rows, _patch_index)
+                       _im2col, _map_rows, _patch_index, _windows)
 
 
 # --- independent explicit-loop reference for the forward pass ---
@@ -364,6 +365,36 @@ class TestConv2D:
                 np.testing.assert_array_equal(got, want)
             else:   # OpenBLAS picks a float64 kernel by the row count
                 np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("b", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("C,H", [(1, 32), (6, 14), (2, 8), (6, 6)])
+    def test_windows_match_window_reference(self, C, H, b):
+        # the forward's patch rows: a transposed view of one window copy
+        x = np.random.default_rng(C * H + b).random((b, C, H, H),
+                                                    dtype=np.float32)
+        win = sliding_window_view(x, (5, 5), axis=(2, 3))
+        Ho = H - 4
+        want = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * Ho * Ho, C * 25)
+        got = _windows(x, 5)
+        np.testing.assert_array_equal(got, want)
+        assert got.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("one_thread", [False, True])
+    @pytest.mark.parametrize("C,H,O", [(1, 32, 6), (6, 14, 16), (1, 16, 6),
+                                       (6, 6, 16)])
+    def test_windows_product_is_the_im2col_product_to_the_bit(
+            self, C, H, O, one_thread):
+        # OpenBLAS packs the patch rows from either layout into the same
+        # panels, so every block size gives the bits of the gathered rows
+        rng = np.random.default_rng(C * H + O)
+        w = np.ascontiguousarray(
+            rng.standard_normal((O, C * 25), dtype=np.float32).T)
+        region = nn._one_blas_thread() if one_thread else contextlib.nullcontext()
+        with region:
+            for b in range(1, BLOCK + 2):
+                x = rng.standard_normal((b, C, H, H), dtype=np.float32)
+                np.testing.assert_array_equal(_windows(x, 5) @ w,
+                                              _im2col(x, 5) @ w)
 
     @pytest.mark.parametrize("b", [1, BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("C,H", [(1, 32), (6, 14), (2, 8), (6, 6)])
