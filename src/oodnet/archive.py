@@ -38,9 +38,11 @@ class ModelState:
 
     def judge(self, feats: np.ndarray) -> tuple:
         """Feature rows -> the detector's verdicts and nearest-class distances,
-        then the head's p and verdicts (None, None without a head)."""
+        both from one distance pass, then the head's p and verdicts (None,
+        None without a head)."""
         det, head = self.detector, self.head
-        judged = det.is_normal_many(feats), det.anomaly_score_many(feats)
+        dists = det.distances_many(feats)
+        judged = det.accepts(dists), dists.min(axis=1)
         p = None if head is None else head.forward_many(feats)
         return (*judged, p, None if p is None else head.accepts(p))
 

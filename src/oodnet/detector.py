@@ -74,8 +74,9 @@ class ClassStats:
         return cls(mean=mean, cov=cov, count=count, epsilon=eps, _factor=factor)
 
     def mahalanobis(self, x: np.ndarray) -> float:
-        """sqrt((x - mu)^T (S + eps I)^{-1} (x - mu)) via the stored factor."""
-        return float(self.mahalanobis_many(np.atleast_2d(x))[0])
+        """sqrt((x - mu)^T (S + eps I)^{-1} (x - mu)) via the stored factor,
+        for one feature vector x of d values; any other shape is DimMismatch."""
+        return float(self.mahalanobis_many(np.asarray(x)[None])[0])
 
     def mahalanobis_many(self, xs: np.ndarray) -> np.ndarray:
         """Reference path: one triangular solve pair per call."""
@@ -134,8 +135,9 @@ class DetectorModel:
         return len(self.stats)
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        """Per-class Mahalanobis distances of a single feature vector."""
-        return self.distances_many(np.atleast_2d(x))[0]
+        """Per-class Mahalanobis distances of one feature vector x of d
+        values; any other shape is DimMismatch (nn.feature_rows)."""
+        return self.distances_many(np.asarray(x)[None])[0]
 
     def distances_many(self, xs: np.ndarray) -> np.ndarray:
         """(M, n_classes) distance matrix, in row slices spread over the

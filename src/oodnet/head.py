@@ -72,8 +72,9 @@ def bce_many(p: np.ndarray, y: np.ndarray) -> float:
 
 
 def classify_ood(head: OodHead, feature: np.ndarray) -> str:
-    """'normal' when the head accepts the feature's p, else 'ood'."""
-    p = head.forward_many(np.atleast_2d(feature))[0]
+    """'normal' when the head accepts the p of one feature vector, else
+    'ood'. Any shape but (in_dim,) is DimMismatch (nn.feature_rows)."""
+    p = head.forward_many(np.asarray(feature)[None])[0]
     return "normal" if head.accepts(p) else "ood"
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodnet import ClassStats, DetectorModel, detector, fit_stats
+from oodnet import ClassStats, DetectorModel, OodHead, detector, fit_stats
 from oodnet.archive import ModelState, load_model, save_model
 from oodnet.errors import (DegenerateClass, DimMismatch, FactorizationFailure,
                            NonFiniteFeature, NotCalibrated, ShapeMismatch)
@@ -308,6 +308,20 @@ class TestDistanceKernel:
         with pytest.raises(DimMismatch):
             call(det, np.zeros(shape))
 
+    @pytest.mark.parametrize("call", [
+        lambda det, x: det.distances(x),
+        lambda det, x: det.is_normal(x),
+        lambda det, x: det.anomaly_score(x),
+        lambda det, x: det.stats[0].mahalanobis(x),
+    ], ids=["distances", "is_normal", "anomaly_score", "mahalanobis"])
+    @pytest.mark.parametrize("shape", [(2, 84), (1, 84), ()])
+    def test_single_calls_want_one_vector(self, calibrated, call, shape):
+        """A batch given to a single call is refused, not judged by its
+        first row."""
+        det, _ = calibrated
+        with pytest.raises(DimMismatch):
+            call(det, np.zeros(shape))
+
     def test_snap32_and_archive_round_trip_bit_identical(self, calibrated,
                                                           tmp_path):
         det, xs = calibrated
@@ -368,6 +382,46 @@ class TestDistanceKernel:
         assert calls == []
         det.stats[0].mahalanobis(xs[0])  # the reference path is counted
         assert calls == [1]
+
+
+class TestJudge:
+    """ModelState.judge: both detector results from one distance pass,
+    equal to the batched calls that each make their own."""
+
+    @pytest.fixture(scope="class")
+    def judged(self):
+        rng = np.random.default_rng(11)
+        det, feats, labels = fitted_detector(rng, n_classes=10, d=84,
+                                             per_class=100)
+        det.calibrate(feats, labels)
+        xs = (rng.normal(size=(600, 84)) * 6).astype(np.float32)
+        return det, xs
+
+    @pytest.mark.parametrize("with_head", [True, False],
+                             ids=["head", "no_head"])
+    def test_one_distance_pass_and_the_batched_results(self, judged,
+                                                       with_head, monkeypatch):
+        det, xs = judged
+        head = OodHead(84, seed=0) if with_head else None
+        state = ModelState(backbone=Backbone(10, input_side=12),
+                           detector=det, head=head)
+        passes = []
+        real = DetectorModel.distances_many
+
+        def spy(self, rows):
+            passes.append(len(rows))
+            return real(self, rows)
+
+        monkeypatch.setattr(DetectorModel, "distances_many", spy)
+        normal, score, p, head_normal = state.judge(xs)
+        assert passes == [len(xs)]
+        np.testing.assert_array_equal(normal, det.is_normal_many(xs))
+        np.testing.assert_array_equal(score, det.anomaly_score_many(xs))
+        if head is None:
+            assert p is None and head_normal is None
+        else:
+            np.testing.assert_array_equal(p, head.forward_many(xs))
+            np.testing.assert_array_equal(head_normal, head.accepts(p))
 
 
 class TestStoredForm:

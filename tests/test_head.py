@@ -233,6 +233,12 @@ class TestClassifyOod:
             assert classify_ood(head, feats[i]) == ("normal" if batched
                                                     else "ood")
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), ()])
+    def test_one_feature_vector_only(self, shape):
+        """A batch is refused, not classified by its first row."""
+        with pytest.raises(DimMismatch):
+            classify_ood(OodHead(3, seed=1), np.zeros(shape))
+
     def test_tau_is_compared_exactly(self):
         """0.7 is no float32: a p on either side of float32(0.7) compares
         with 0.7 itself, not with 0.7 rounded to float32 (which p equals)."""

@@ -75,7 +75,7 @@ def test_installed_tracer_records_and_restores(spans, tmp_path):
     names = {s.name for s in tracer.spans}
     for name in ("experiment.run", "experiment.stage_one", "experiment.stage_two",
                  "nn.forward", "nn.backward", "nn.conv1.fwd", "nn.dense.bwd",
-                 "detector.is_normal_many", "head.train",
+                 "detector.calibrate", "head.train",
                  "experiment.calibration", "experiment.evaluate"):
         assert name in names
     after = snapshot()
